@@ -38,13 +38,6 @@ def iter_bits(x):
         x ^= low
 
 
-def union_all(sets):
-    u = 0
-    for s in sets:
-        u |= s
-    return u
-
-
 def transpose_rows(sets):
     """Incidence transpose: dict mapping element v to the bitmask of set
     indices i with v in sets[i].  Only elements that occur are keyed."""

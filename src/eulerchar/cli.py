@@ -58,40 +58,40 @@ def _cmd_euler(args) -> int:
             if args.algorithm == "oracle-subsets"
             else oracle.euler_by_inclusion_exclusion
         )
-        times = []
-        for _ in range(args.repeat):
-            t0 = time.perf_counter()
-            value = fn(cx)
-            times.append(time.perf_counter() - t0)
-        print(value)
-        if args.stats:
-            print(json.dumps({"algorithm": args.algorithm}, sort_keys=True))
-            print(f"elapsed median {statistics.median(times):.6f}s", file=sys.stderr)
-        return 0
-    if args.pivot is not None:
-        allowed = engine.BCRT_PIVOTS if args.algorithm == "bcrt" else engine.DBMS_PIVOTS
-        if args.pivot not in allowed:
-            raise InputError(f"pivot {args.pivot!r} is not valid for {args.algorithm}")
-    cfg = engine.EngineConfig(
-        algorithm=args.algorithm,
-        pivot=args.pivot,
-        use_nerve=args.nerve == "on",
-        use_independence_at_root=args.independence in ("root", "all"),
-        use_independence_interior=args.independence == "all",
-        seed=args.seed,
-    )
-    runs = [engine.euler(cx, cfg) for _ in range(args.repeat)]
-    value, stats = runs[0]
-    for v, s in runs[1:]:
-        if v != value or s.counters() != stats.counters():
-            raise AssertionError("nondeterministic engine run")
+
+        def solve():
+            return fn(cx), {"algorithm": args.algorithm}
+
+    else:
+        cfg = engine.EngineConfig(
+            algorithm=args.algorithm,
+            pivot=args.pivot,
+            use_nerve=args.nerve == "on",
+            use_independence_at_root=args.independence in ("root", "all"),
+            use_independence_interior=args.independence == "all",
+            seed=args.seed,
+        )
+
+        def solve():
+            value, stats = engine.euler(cx, cfg)
+            counters = stats.counters()
+            counters["algorithm"] = args.algorithm
+            counters["pivot"] = cfg.resolved_pivot()
+            return value, counters
+
+    runs = []
+    times = []
+    for _ in range(args.repeat):
+        t0 = time.perf_counter()
+        runs.append(solve())
+        times.append(time.perf_counter() - t0)
+    if any(r != runs[0] for r in runs[1:]):
+        raise AssertionError("nondeterministic run")
+    value, counters = runs[0]
     print(value)
     if args.stats:
-        counters = stats.counters()
-        counters["algorithm"] = args.algorithm
-        counters["pivot"] = cfg.resolved_pivot()
         print(json.dumps(counters, sort_keys=True))
-        median = statistics.median(s.elapsed for _, s in runs)
+        median = statistics.median(times)
         print(f"elapsed median {median:.6f}s over {args.repeat} run(s)", file=sys.stderr)
     return 0
 

@@ -87,22 +87,35 @@ def add_facet_closure(cx: Complex, sigma: FaceLike) -> Complex:
     return Complex(cx.n, tuple(sorted(facets)))
 
 
+def _common_vertices(facets):
+    """Vertices lying in every facet of a non-empty facet list (0 if none)."""
+    common = facets[0]
+    for f in facets:
+        common &= f
+        if not common:
+            break
+    return common
+
+
 def is_cone(cx: Complex) -> Optional[int]:
     """Lowest vertex contained in every facet, or None.  Void and {∅} are
     not cones."""
-    if not cx.facets:
-        return None
-    common = cx.facets[0]
-    for f in cx.facets:
-        common &= f
-        if not common:
-            return None
-    return (common & -common).bit_length() - 1
+    common = _common_vertices(cx.facets) if cx.facets else 0
+    return (common & -common).bit_length() - 1 if common else None
 
 
 def codisjoint(sigma: FaceLike, tau: FaceLike, n: int) -> bool:
     """True iff σ ∪ τ covers the whole universe (complements disjoint)."""
     return (as_face(n, sigma) | as_face(n, tau)) == mask(n)
+
+
+def _nerve_facets(facets):
+    """Facets of the nerve over the facet-index universe: the maximal sets of
+    facets sharing a vertex, or [0] (the complex {∅}) when no vertex is used."""
+    rows = transpose_rows(facets)  # vertex -> set of facets containing it
+    if not rows:
+        return [0]
+    return maximal_sets(list(rows.values()))
 
 
 def nerve(cx: Complex) -> Complex:
@@ -111,11 +124,7 @@ def nerve(cx: Complex) -> Complex:
     is ∅ has nerve {∅}.  Preserves the reduced Euler characteristic."""
     if not cx.facets:
         raise InputError("nerve of the void complex is undefined")
-    rows = transpose_rows(cx.facets)  # vertex -> set of facets containing it
-    m = len(cx.facets)
-    if not rows:
-        return Complex(m, (0,))
-    return Complex(m, tuple(maximal_sets(list(rows.values()))))
+    return Complex(len(cx.facets), tuple(_nerve_facets(cx.facets)))
 
 
 def join(a: Complex, b: Complex) -> Complex:
@@ -130,22 +139,14 @@ def join(a: Complex, b: Complex) -> Complex:
     return Complex(a.n + b.n, tuple(maximal_sets(cand)))
 
 
-def find_independent_pair(cx: Complex):
-    """Detect a vertex bipartition (A, B) witnessing Δ = Δ_A ⊕ Δ_B, where each
-    facet complement lies entirely inside one side.
-
-    Connected components of the facet complements under shared-vertex overlap
-    are merged; with two or more components the split is the component holding
-    the lowest complement vertex versus everything else.  Returns bitmasks
-    (A, B) or None (single component, a facet equal to V, or < 2 facets).
-    Assumes no unused vertices.
-    """
-    if len(cx.facets) < 2:
+def _independent_pair_masked(alive, facets):
+    """Vertex bipartition (A, B) of `alive` with every facet complement inside
+    one side, or None; see find_independent_pair."""
+    if len(facets) < 2:
         return None
-    full = mask(cx.n)
     blobs = []
-    for f in cx.facets:
-        c = full & ~f
+    for f in facets:
+        c = alive & ~f
         if not c:
             return None  # facet = V means Δ = pows(V)
         merged = c
@@ -160,15 +161,38 @@ def find_independent_pair(cx: Complex):
     if len(blobs) < 2:
         return None
     a = min(blobs, key=lambda b: (b & -b).bit_length())
-    return a, full & ~a
+    return a, alive & ~a
+
+
+def _independent_parts_masked(alive, facets, a, b):
+    """Facet lists of Δ_A and Δ_B (still on the masks a and b) for a pair
+    returned by _independent_pair_masked: a facet goes to the side holding
+    its complement."""
+    fa = []
+    fb = []
+    for f in facets:
+        (fa if alive & ~f & ~a == 0 else fb).append(f)
+    return sorted(f & a for f in fa), sorted(f & b for f in fb)
+
+
+def find_independent_pair(cx: Complex):
+    """Detect a vertex bipartition (A, B) witnessing Δ = Δ_A ⊕ Δ_B, where each
+    facet complement lies entirely inside one side.
+
+    Connected components of the facet complements under shared-vertex overlap
+    are merged; with two or more components the split is the component holding
+    the lowest complement vertex versus everything else.  Returns bitmasks
+    (A, B) or None (single component, a facet equal to V, or < 2 facets).
+    Assumes no unused vertices.
+    """
+    return _independent_pair_masked(mask(cx.n), cx.facets)
 
 
 def independent_parts(cx: Complex, a: int, b: int):
-    """Reconstruct (Δ_A, Δ_B) from an independent pair: Δ_A is the closure of
-    the facets whose complement lies in A, deleted down to A's universe."""
-    full = mask(cx.n)
-    fa = [f for f in cx.facets if full & ~f & ~a == 0]
-    fb = [f for f in cx.facets if full & ~f & ~b == 0]
-    ka, pa = compress_columns(a, sorted(f & a for f in fa))
-    kb, pb = compress_columns(b, sorted(f & b for f in fb))
+    """Reconstruct (Δ_A, Δ_B) from the independent pair find_independent_pair
+    returned: Δ_A is the closure of the facets whose complement lies in A,
+    deleted down to A's universe."""
+    fa, fb = _independent_parts_masked(mask(cx.n), cx.facets, a, b)
+    ka, pa = compress_columns(a, fa)
+    kb, pb = compress_columns(b, fb)
     return Complex(ka, tuple(pa)), Complex(kb, tuple(pb))

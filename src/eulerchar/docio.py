@@ -55,7 +55,10 @@ def parse_complex(text: str) -> Complex:
 def parse_complex_json(text: str) -> Complex:
     try:
         doc = json.loads(text)
-        return make_complex(int(doc["vertices"]), [tuple(f) for f in doc["facets"]])
+        n = doc["vertices"]
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise InputError(f"vertices {n!r} is not an integer")
+        return make_complex(n, [tuple(f) for f in doc["facets"]])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad JSON complex document: {exc}") from None
 

@@ -19,8 +19,17 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ._bitops import compress_columns, iter_bits, mask, maximal_sets, transpose_rows
-from .core import Complex, add_facet_closure, as_face, restrict
+from ._bitops import compress_columns, iter_bits, mask, maximal_sets
+from .core import (
+    Complex,
+    _common_vertices,
+    _independent_pair_masked,
+    _independent_parts_masked,
+    _nerve_facets,
+    add_facet_closure,
+    as_face,
+    restrict,
+)
 from .errors import InputError, checked_add, checked_mul, checked_sub
 
 ALGORITHMS = ("bcrt", "dbms")
@@ -96,6 +105,7 @@ class EngineStats:
 
 # ---------------------------------------------------------------------------
 # node pipeline pieces, shared by the stack machine and the public operations
+# (the nerve, independence split and cone test kernels live in core)
 # ---------------------------------------------------------------------------
 
 
@@ -150,12 +160,7 @@ def _base_case_masked(universe, facets):
         return 0, "void"
     if m == 1 and facets[0] == 0:
         return -1, "empty_face"
-    common = facets[0]
-    for f in facets:
-        common &= f
-        if not common:
-            break
-    if common:
+    if _common_vertices(facets):
         return 0, "cone"
     if m >= 2:
         once = 0
@@ -185,41 +190,6 @@ def _base_case_masked(universe, facets):
         if c2 & ~c3 == universe:  # every vertex in exactly two facets
             return -1, "four_facets"
     return None
-
-
-def _nerve_masked(facets):
-    """Nerve over the facet-index universe; returns (alive, facets)."""
-    rows = transpose_rows(facets)
-    if not rows:
-        return 0, [0]
-    nf = maximal_sets(list(rows.values()))
-    alive = 0
-    for f in nf:
-        alive |= f
-    return alive, nf
-
-
-def _independent_pair_masked(alive, facets):
-    if len(facets) < 2:
-        return None
-    blobs = []
-    for f in facets:
-        c = alive & ~f
-        if not c:
-            return None
-        merged = c
-        rest = []
-        for b in blobs:
-            if b & merged:
-                merged |= b
-            else:
-                rest.append(b)
-        rest.append(merged)
-        blobs = rest
-    if len(blobs) < 2:
-        return None
-    a = min(blobs, key=lambda b: (b & -b).bit_length())
-    return a, alive & ~a
 
 
 def _count_planes(facets):
@@ -397,22 +367,22 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
             pair = _independent_pair_masked(alive, facets)
             if pair is not None:
                 a, b = pair
-                fa = []
-                fb = []
-                for f in facets:
-                    (fa if alive & ~f & ~a == 0 else fb).append(f)
+                fa, fb = _independent_parts_masked(alive, facets, a, b)
                 stats.independence_splits += 1
                 if sign != 1:
                     todo.append((_SCALE, sign))
                 todo.append((_MUL,))
-                todo.append((_NODE, b, sorted(f & b for f in fb), _child_key(key, 3), False))
-                todo.append((_NODE, a, sorted(f & a for f in fa), _child_key(key, 2), False))
+                todo.append((_NODE, b, fb, _child_key(key, 3), False))
+                todo.append((_NODE, a, fa, _child_key(key, 2), False))
                 continue
 
         m = len(facets)
         nu = alive.bit_count()
         if cfg.use_nerve and m >= 2 and nu >= 1 and (m > nu if dbms else nu > m):
-            alive, facets = _nerve_masked(facets)
+            facets = _nerve_facets(facets)
+            alive = 0
+            for f in facets:
+                alive |= f
             stats.nerve_applications += 1
             # the strict inequality guarantees the algorithm-sensitive
             # dimension drops, so nerves cannot alternate forever

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Iterable, Tuple
 
 from ._bitops import mask, maximal_sets
-from .core import Complex, FaceLike, as_face
+from .core import Complex, FaceLike, as_face, nerve
 from .errors import InputError
 
 
@@ -42,10 +42,9 @@ class SquareFreeIdeal:
             raise InputError("duplicate generator rows")
         if tuple(sorted(rows, reverse=True)) != rows:
             raise InputError("generator rows must be sorted descending")
-        for a in rows:
-            for b in rows:
-                if a != b and a & ~b == 0:
-                    raise InputError("generator rows must be minimal (antichain)")
+        # rows are distinct here, so any dominated row shrinks the maximal sets
+        if len(maximal_sets(list(rows))) != len(rows):
+            raise InputError("generator rows must be minimal (antichain)")
 
     @property
     def num_generators(self) -> int:
@@ -82,16 +81,10 @@ def transpose_ideal(ideal: SquareFreeIdeal) -> SquareFreeIdeal:
     """Transpose the generator/variable matrix and minimalize the rows.
 
     The result lives in as many variables as the input had generators, and
-    has the same χ̃ through φ⁻¹; structurally it is the nerve seen through
-    the translation."""
+    has the same χ̃ through φ⁻¹: it is the nerve seen through the
+    translation, which is how it is computed."""
     if ideal.is_zero():
         raise InputError("transpose of the zero ideal is undefined")
     if ideal.num_vars < 1:
         raise InputError("transpose requires at least one ambient variable")
-    rows = []
-    for v in range(ideal.num_vars):
-        bit = 1 << v
-        rows.append(
-            sum(1 << i for i, g in enumerate(ideal.generators) if g & bit)
-        )
-    return minimalize(rows, ideal.num_generators)
+    return complex_to_ideal(nerve(ideal_to_complex(ideal)))

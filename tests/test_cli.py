@@ -46,7 +46,17 @@ def test_parse_complex_json():
 
 
 def test_parse_errors():
-    for bad in ["", "facets 3", "vertices x", "vertices 2\n0 q\n", '{"vertices": 1}']:
+    bad_docs = [
+        "",
+        "facets 3",
+        "vertices x",
+        "vertices 2\n0 q\n",
+        '{"vertices": 1}',
+        '{"vertices": 5.7, "facets": [[0, 1]]}',
+        '{"vertices": "4", "facets": [[0, 1]]}',
+        '{"vertices": true, "facets": [[0]]}',
+    ]
+    for bad in bad_docs:
         with pytest.raises(InputError):
             parse_complex(bad)
     with pytest.raises(InputError):

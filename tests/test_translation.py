@@ -50,6 +50,15 @@ def test_ideal_validation():
         SquareFreeIdeal(2, (0b01, 0b01))  # duplicate
     with pytest.raises(InputError):
         SquareFreeIdeal(1, (0b10,))  # row outside ambient variables
+    # more than 512 rows of mixed sizes takes the transposed antichain route:
+    # the 2-subsets of 40 variables plus one 3-subset containing 0b11
+    pairs = [(1 << i) | (1 << j) for i in range(40) for j in range(i + 1, 40)]
+    rows = tuple(sorted(pairs + [0b111], reverse=True))
+    assert len(rows) > 512
+    with pytest.raises(InputError):
+        SquareFreeIdeal(40, rows)
+    antichain = tuple(sorted(pairs + [0b111 << 40], reverse=True))
+    assert SquareFreeIdeal(43, antichain).num_generators == 781
 
 
 def test_transpose_examples():
@@ -59,6 +68,12 @@ def test_transpose_examples():
     assert transpose_ideal(minimalize([(0, 1)], 2)) == SquareFreeIdeal(1, (0b1,))
     with pytest.raises(InputError):
         transpose_ideal(SquareFreeIdeal(3, ()))
+    # variable 2 divides no generator: its all-zero row makes the unit ideal
+    assert transpose_ideal(minimalize([(0,), (1,)], 3)) == SquareFreeIdeal(2, (0,))
+    # variable 0 divides every generator: its all-ones row is dominated
+    assert transpose_ideal(minimalize([(0, 1), (0, 2), (0, 3)], 4)) == SquareFreeIdeal(
+        3, (0b100, 0b010, 0b001)
+    )
 
 
 def test_round_trips_random(rng):
