@@ -53,6 +53,8 @@ def _cmd_euler(args) -> int:
         raise InputError("--repeat must be at least 1")
     cx = _load_complex(args.file)
     if args.algorithm.startswith("oracle"):
+        if args.pivot is not None:
+            raise InputError(f"--pivot does not apply to {args.algorithm}")
         fn = (
             oracle.euler_by_subsets
             if args.algorithm == "oracle-subsets"
@@ -67,8 +69,7 @@ def _cmd_euler(args) -> int:
             algorithm=args.algorithm,
             pivot=args.pivot,
             use_nerve=args.nerve == "on",
-            use_independence_at_root=args.independence in ("root", "all"),
-            use_independence_interior=args.independence == "all",
+            independence=args.independence,
             seed=args.seed,
         )
 
@@ -175,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pe.add_argument("--pivot", default=None)
     pe.add_argument("--nerve", choices=["on", "off"], default="on")
-    pe.add_argument("--independence", choices=["root", "all", "off"], default="root")
+    pe.add_argument("--independence", choices=engine.INDEPENDENCE, default="root")
     pe.add_argument("--seed", type=int, default=0)
     pe.add_argument("--stats", action="store_true")
     pe.add_argument("--repeat", type=int, default=1)

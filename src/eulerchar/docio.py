@@ -16,9 +16,13 @@ import json
 
 from ._bitops import iter_bits
 from .core import Complex, make_complex
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .reductions import CnfFormula
 from .translation import SquareFreeIdeal, minimalize
+
+# largest vertex or variable count a document may declare: above the
+# generators' 2,000,000-facet limit, so every generated complex's nerve fits
+MAX_UNIVERSE = 1 << 24
 
 
 def _data_lines(text):
@@ -28,37 +32,51 @@ def _data_lines(text):
             yield line
 
 
+def _parse_rows(text, header, doc_name, row_name):
+    """The shared text layout: '<header> <n>', then one row of ascending
+    indices per line ('empty' is the empty row).  Returns (n, rows)."""
+    lines = list(_data_lines(text))
+    if not lines or not lines[0].startswith(header):
+        raise InputError(f"{doc_name} document must start with '{header} <n>'")
+    try:
+        n = int(lines[0].split()[1])
+    except (IndexError, ValueError):
+        raise InputError(f"bad header line {lines[0]!r}") from None
+    if n > MAX_UNIVERSE:
+        raise CapacityError(f"{header} {n} exceeds the limit of {MAX_UNIVERSE}")
+    rows = []
+    for line in lines[1:]:
+        if line == "empty":
+            rows.append(())
+            continue
+        try:
+            rows.append(tuple(int(t) for t in line.split()))
+        except ValueError:
+            raise InputError(f"bad {row_name} line {line!r}") from None
+    return n, rows
+
+
 def parse_complex(text: str) -> Complex:
     """Parse either format (JSON is recognized by a leading '{').  Input
     faces are maximalized, mirroring facets-only input conventions."""
     if text.lstrip().startswith("{"):
         return parse_complex_json(text)
-    lines = list(_data_lines(text))
-    if not lines or not lines[0].startswith("vertices"):
-        raise InputError("complex document must start with 'vertices <n>'")
-    try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise InputError(f"bad header line {lines[0]!r}") from None
-    faces = []
-    for line in lines[1:]:
-        if line == "empty":
-            faces.append(())
-            continue
-        try:
-            faces.append(tuple(int(t) for t in line.split()))
-        except ValueError:
-            raise InputError(f"bad facet line {line!r}") from None
-    return make_complex(n, faces)
+    return make_complex(*_parse_rows(text, "vertices", "complex", "facet"))
+
+
+def _json_int(v, what):
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise InputError(f"{what} {v!r} is not an integer")
+    return v
 
 
 def parse_complex_json(text: str) -> Complex:
     try:
         doc = json.loads(text)
-        n = doc["vertices"]
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise InputError(f"vertices {n!r} is not an integer")
-        return make_complex(n, [tuple(f) for f in doc["facets"]])
+        n = _json_int(doc["vertices"], "vertices")
+        if n > MAX_UNIVERSE:
+            raise CapacityError(f"vertices {n} exceeds the limit of {MAX_UNIVERSE}")
+        return make_complex(n, [tuple(_json_int(v, "vertex") for v in f) for f in doc["facets"]])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad JSON complex document: {exc}") from None
 
@@ -74,22 +92,7 @@ def write_complex(cx: Complex, as_json: bool = False) -> str:
 
 
 def parse_ideal(text: str) -> SquareFreeIdeal:
-    lines = list(_data_lines(text))
-    if not lines or not lines[0].startswith("vars"):
-        raise InputError("ideal document must start with 'vars <n>'")
-    try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise InputError(f"bad header line {lines[0]!r}") from None
-    rows = []
-    for line in lines[1:]:
-        if line == "empty":
-            rows.append(())
-            continue
-        try:
-            rows.append(tuple(int(t) for t in line.split()))
-        except ValueError:
-            raise InputError(f"bad generator line {line!r}") from None
+    n, rows = _parse_rows(text, "vars", "ideal", "generator")
     return minimalize(rows, n)
 
 

@@ -30,12 +30,13 @@ from .core import (
     as_face,
     restrict,
 )
-from .errors import InputError, checked_add, checked_mul, checked_sub
+from .errors import InputError, checked_add, checked_mul
 
 ALGORITHMS = ("bcrt", "dbms")
 BCRT_PIVOTS = ("popvar", "rarevar", "random", "popgcd")
 DBMS_PIVOTS = ("rarevar", "popvar", "maxsupp", "minsupp", "random", "rarest", "raremax")
 DEFAULT_PIVOT = {"bcrt": "popvar", "dbms": "raremax"}
+INDEPENDENCE = ("off", "root", "all")
 
 # when the stored width is this much larger than the live vertex count the
 # node's facets are re-packed onto a dense universe
@@ -66,8 +67,7 @@ class EngineConfig:
     algorithm: str = "dbms"
     pivot: Optional[str] = None  # None = algorithm default
     use_nerve: bool = True
-    use_independence_at_root: bool = True
-    use_independence_interior: bool = False
+    independence: str = "root"  # independent-pair splits: off | root | all nodes
     seed: int = 0
 
     def resolved_pivot(self) -> str:
@@ -81,6 +81,8 @@ class EngineConfig:
             raise InputError(
                 f"pivot {self.pivot!r} is not a {self.algorithm} strategy {allowed}"
             )
+        if self.independence not in INDEPENDENCE:
+            raise InputError(f"independence {self.independence!r} is not one of {INDEPENDENCE}")
 
 
 @dataclass
@@ -251,13 +253,10 @@ def _select_bcrt_masked(alive, facets, strategy, key):
         e = choices[_draw(key, 11, len(choices))]
         return alive ^ (1 << e)
     planes = _count_planes(facets)
-    if strategy == "popvar":
-        return alive ^ (1 << _lowest(_argmin_mask(cand, planes)))
     if strategy == "rarevar":
         return alive ^ (1 << _lowest(_argmax_mask(cand, planes)))
+    ebit = 1 << _lowest(_argmin_mask(cand, planes))
     if strategy == "popgcd":
-        e = _lowest(_argmin_mask(cand, planes))
-        ebit = 1 << e
         eligible = [f for f in facets if not f & ebit]
         idx = list(range(len(eligible)))
         union = 0
@@ -265,8 +264,8 @@ def _select_bcrt_masked(alive, facets, strategy, key):
             union |= eligible[idx.pop(_draw(key, 13 + t, len(idx)))]
         if union != alive and all(union & ~f for f in facets):
             return union
-        return alive ^ (1 << _lowest(_argmin_mask(cand, planes)))
-    raise InputError(f"unknown bcrt strategy {strategy!r}")
+    # popvar, and popgcd when its facet union is not a valid pivot
+    return alive ^ ebit
 
 
 def _select_dbms_masked(alive, facets, strategy, key):
@@ -293,33 +292,31 @@ def _select_dbms_masked(alive, facets, strategy, key):
         if strategy == "rarevar":
             return lacking[0]
         return min(lacking, key=lambda i: (facets[i].bit_count(), i))
-    if strategy == "rarest":
-        # rank facets by how many top-popularity vertices they lack, breaking
-        # ties with the next popularity level down
-        remaining = list(range(m))
-        level_sel = cand
-        while len(remaining) > 1 and level_sel:
-            lev = _argmax_mask(level_sel, planes)
-            best = -1
-            keep = []
-            for i in remaining:
-                lacked = (lev & ~facets[i]).bit_count()
-                if lacked > best:
-                    best = lacked
-                    keep = [i]
-                elif lacked == best:
-                    keep.append(i)
-            remaining = keep
-            level_sel &= ~lev
-        return remaining[0]
-    raise InputError(f"unknown dbms strategy {strategy!r}")
+    # rarest: rank facets by how many top-popularity vertices they lack,
+    # breaking ties with the next popularity level down
+    remaining = list(range(m))
+    level_sel = cand
+    while len(remaining) > 1 and level_sel:
+        lev = _argmax_mask(level_sel, planes)
+        best = -1
+        keep = []
+        for i in remaining:
+            lacked = (lev & ~facets[i]).bit_count()
+            if lacked > best:
+                best = lacked
+                keep = [i]
+            elif lacked == best:
+                keep.append(i)
+        remaining = keep
+        level_sel &= ~lev
+    return remaining[0]
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
 
-_NODE, _ADD, _SUB, _MUL, _SCALE = 0, 1, 2, 3, 4
+_NODE, _ADD, _MUL = 0, 1, 2
 
 
 def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
@@ -329,33 +326,31 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
         cfg = EngineConfig()
     strategy = cfg.resolved_pivot()
     dbms = cfg.algorithm == "dbms"
+    split_root = cfg.independence != "off"
+    split_all = cfg.independence == "all"
     stats = EngineStats()
     hits = stats.base_case_hits
     t0 = time.perf_counter()
 
-    root_key = _mix(cfg.seed & _M64)
-    todo = [(_NODE, mask(cx.n), list(cx.facets), root_key, True)]
+    # a node item (_NODE, facets, key, sign, is_root) stands for sign·χ̃(facets);
+    # _ADD and _MUL combine the top two values on the stack
+    todo = [(_NODE, list(cx.facets), _mix(cfg.seed & _M64), 1, True)]
     vals = []
     while todo:
         item = todo.pop()
         op = item[0]
         if op != _NODE:
+            b = vals.pop()
             if op == _ADD:
-                b = vals.pop()
                 vals[-1] = checked_add(vals[-1], b)
-            elif op == _SUB:
-                b = vals.pop()
-                vals[-1] = checked_sub(vals[-1], b)
-            elif op == _MUL:
-                b = vals.pop()
-                vals[-1] = checked_mul(vals[-1], b)
             else:
-                vals[-1] = checked_mul(vals[-1], item[1])
+                vals[-1] = checked_mul(vals[-1], b)
             continue
 
-        _, alive, facets, key, is_root = item
+        _, facets, key, sign, is_root = item
         stats.nodes_expanded += 1
-        alive, facets, sign, elim = _simplify_masked(facets)
+        alive, facets, flip, elim = _simplify_masked(facets)
+        sign *= flip
         stats.abundant_eliminations += elim
 
         width = alive.bit_length()
@@ -363,17 +358,15 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
             k, facets = compress_columns(alive, facets)
             alive = mask(k)
 
-        if cfg.use_independence_at_root if is_root else cfg.use_independence_interior:
+        if split_all or (split_root and is_root):
             pair = _independent_pair_masked(alive, facets)
             if pair is not None:
                 a, b = pair
                 fa, fb = _independent_parts_masked(alive, facets, a, b)
                 stats.independence_splits += 1
-                if sign != 1:
-                    todo.append((_SCALE, sign))
                 todo.append((_MUL,))
-                todo.append((_NODE, b, fb, _child_key(key, 3), False))
-                todo.append((_NODE, a, fa, _child_key(key, 2), False))
+                todo.append((_NODE, fb, _child_key(key, 3), 1, False))
+                todo.append((_NODE, fa, _child_key(key, 2), sign, False))
                 continue
 
         m = len(facets)
@@ -396,27 +389,24 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
             vals.append(value * sign)
             continue
 
-        if sign != 1:
-            todo.append((_SCALE, sign))
+        todo.append((_ADD,))
         if dbms:
             idx = _select_dbms_masked(alive, facets, strategy, key)
             sigma = facets[idx]
             rest = facets[:idx] + facets[idx + 1 :]
             inner = maximal_sets([t & sigma for t in rest])
             assert len(rest) < m and len(inner) < m
-            todo.append((_SUB,))
-            todo.append((_NODE, alive & sigma, inner, _child_key(key, 1), False))
-            todo.append((_NODE, alive, rest, _child_key(key, 0), False))
+            todo.append((_NODE, inner, _child_key(key, 1), -sign, False))
+            todo.append((_NODE, rest, _child_key(key, 0), sign, False))
         else:
             sigma = _select_bcrt_masked(alive, facets, strategy, key)
             # termination needs σ ⊊ V and σ ∉ Δ: the deletion branch loses a
             # vertex and the union branch gains the new face σ
             assert sigma != alive and all(sigma & ~f for f in facets)
             outer = sorted([f for f in facets if f & ~sigma] + [sigma])
-            todo.append((_ADD,))
-            todo.append((_NODE, alive, outer, _child_key(key, 1), False))
+            todo.append((_NODE, outer, _child_key(key, 1), sign, False))
             todo.append(
-                (_NODE, sigma, maximal_sets([f & sigma for f in facets]), _child_key(key, 0), False)
+                (_NODE, maximal_sets([f & sigma for f in facets]), _child_key(key, 0), sign, False)
             )
 
     stats.elapsed = time.perf_counter() - t0

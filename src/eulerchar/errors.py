@@ -9,7 +9,8 @@ class InputError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """Instance exceeds a deliberate size guard (brute-force oracles, generators)."""
+    """Instance exceeds a deliberate size guard (brute-force oracles, generators,
+    document headers)."""
 
 
 class EulerOverflowError(ArithmeticError):

@@ -56,6 +56,8 @@ class SquareFreeIdeal:
 
 def minimalize(rows: Iterable[FaceLike], num_vars: int) -> SquareFreeIdeal:
     """Keep the divisibility-minimal rows (componentwise-minimal bit rows)."""
+    if num_vars < 0:
+        raise InputError("negative variable count")
     full = mask(num_vars)
     packed = [as_face(num_vars, r) for r in rows]
     minimal = [full ^ r for r in maximal_sets([full ^ r for r in packed])]

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from eulerchar import CnfFormula, Complex, make_complex, minimalize
 from eulerchar.cli import run
 from eulerchar.docio import (
+    MAX_UNIVERSE,
     parse_complex,
     parse_dimacs,
     parse_ideal,
@@ -55,12 +56,14 @@ def test_parse_errors():
         '{"vertices": 5.7, "facets": [[0, 1]]}',
         '{"vertices": "4", "facets": [[0, 1]]}',
         '{"vertices": true, "facets": [[0]]}',
+        '{"vertices": 3, "facets": [[true, false]]}',
     ]
     for bad in bad_docs:
         with pytest.raises(InputError):
             parse_complex(bad)
-    with pytest.raises(InputError):
-        parse_ideal("vertices 3\n")
+    for bad in ["vertices 3\n", "vars -1\n0\n"]:
+        with pytest.raises(InputError):
+            parse_ideal(bad)
     with pytest.raises(InputError):
         parse_dimacs("1 2 0\n")
 
@@ -226,9 +229,25 @@ def test_exit_codes(tmp_path, capsys):
     good = tmp_path / "good.cmpx"
     good.write_text(TRIANGLE)
     assert _run(capsys, "euler", str(good), "--repeat", "0")[0] == 1
+    assert _run(capsys, "euler", str(good), "--algorithm", "oracle-ie", "--pivot", "nope")[0] == 1
     binary = tmp_path / "binary.cmpx"
     binary.write_bytes(b"vertices 2\n\xff\xfe\n")
     assert _run(capsys, "euler", str(binary))[0] == 1
+
+
+def test_universe_cap_is_a_capacity_error(tmp_path, capsys):
+    # a header just above the cap is refused before anything n-sized is built
+    over = MAX_UNIVERSE + 1
+    docs = {
+        "big.ideal": f"vars {over}\n0 1\n",
+        "big.cmpx": f"vertices {over}\n0 1\n",
+        "big.json": json.dumps({"vertices": over, "facets": [[0, 1]]}),
+    }
+    for name, doc in docs.items():
+        path = tmp_path / name
+        path.write_text(doc)
+        assert _run(capsys, "euler", str(path))[0] == 2, name
+    assert parse_ideal(f"vars {MAX_UNIVERSE}\n0 1\n").num_vars == MAX_UNIVERSE
 
 
 # --- subprocess round trip (real pipes) ----------------------------------------

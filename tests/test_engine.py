@@ -109,6 +109,14 @@ def test_select_pivot_bcrt_examples():
     assert len(picks) == 1  # deterministic for a fixed key
 
 
+def test_select_pivot_rejects_unknown_strategy():
+    c = cx(4, {0, 1}, {2, 3})
+    with pytest.raises(InputError):
+        select_pivot_bcrt(c, "nope")
+    with pytest.raises(InputError):
+        select_pivot_dbms(c, "nope")
+
+
 def test_select_pivot_bcrt_validity(rng):
     for _ in range(200):
         c, _ = simplify(random_complex(rng, 9, 9))
@@ -213,17 +221,24 @@ def test_engine_deterministic_stats():
 def test_independence_toggles_change_nothing(rng):
     for _ in range(60):
         c = random_complex(rng, 10, 8)
-        base = euler(c, EngineConfig(use_independence_at_root=False))[0]
-        assert euler(c, EngineConfig(use_independence_at_root=True))[0] == base
-        assert (
-            euler(
-                c,
-                EngineConfig(
-                    use_independence_at_root=True, use_independence_interior=True
-                ),
-            )[0]
-            == base
-        )
+        base = euler(c, EngineConfig(independence="off"))[0]
+        assert euler(c, EngineConfig(independence="root"))[0] == base
+        assert euler(c, EngineConfig(independence="all"))[0] == base
+
+
+def test_engine_allocates_nothing_universe_sized():
+    # two facets on a 2^28-vertex universe: the engine works on the live
+    # vertices only and never builds an n-bit mask
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        value, _ = euler(Complex(2**28, (0b011, 0b110)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 0
+    assert peak < 1 << 20
 
 
 def test_engine_counts_base_case_kinds():
@@ -253,7 +268,7 @@ def test_engine_aborts_on_chi_overflow():
     from eulerchar import EulerOverflowError
     from eulerchar.reductions import _power_block
 
-    cfg = EngineConfig(use_independence_interior=True)
+    cfg = EngineConfig(independence="all")
     with pytest.raises(EulerOverflowError):
         euler(_power_block(63), cfg)
     assert euler(_power_block(62), cfg)[0] == 1 << 62
@@ -266,5 +281,7 @@ def test_config_validation():
         EngineConfig(algorithm="bcrt", pivot="raremax")
     with pytest.raises(InputError):
         EngineConfig(algorithm="dbms", pivot="popgcd")
+    with pytest.raises(InputError):
+        EngineConfig(independence="some")
     assert EngineConfig().resolved_pivot() == "raremax"
     assert EngineConfig(algorithm="bcrt").resolved_pivot() == "popvar"
