@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark harness: compare algorithms and pivot strategies on the
-generated families, reporting median wall time and node counts.
+generated families, reporting median wall time, node counts and subproblem
+table hits (subtrees the table saved).
 
 Examples:
     python bench/benchmark.py                       # default instance set
@@ -30,13 +31,12 @@ DEFAULT_INSTANCES = [
 
 def run_one(cx, cfg, repeat):
     times = []
-    value = nodes = None
+    value = stats = None
     for _ in range(repeat):
         t0 = time.perf_counter()
         value, stats = euler(cx, cfg)
         times.append(time.perf_counter() - t0)
-        nodes = stats.nodes_expanded
-    return value, nodes, statistics.median(times)
+    return value, stats, statistics.median(times)
 
 
 def main(argv=None):
@@ -49,7 +49,10 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    print(f"{'instance':>18} {'n':>5} {'m':>7}  {'config':<18} {'chi':>8} {'nodes':>9} {'median_s':>9}")
+    print(
+        f"{'instance':>18} {'n':>5} {'m':>7}  {'config':<18} {'chi':>8} {'nodes':>9} "
+        f"{'hits':>7} {'median_s':>9}"
+    )
     for spec_text in args.instances:
         cx = generate(parse_spec(spec_text))
         for alg in algorithms:
@@ -61,10 +64,11 @@ def main(argv=None):
             )
             for piv in pivots:
                 cfg = EngineConfig(algorithm=alg, pivot=piv, use_nerve=args.nerve == "on")
-                value, nodes, med = run_one(cx, cfg, args.repeat)
+                value, stats, med = run_one(cx, cfg, args.repeat)
                 print(
                     f"{spec_text:>18} {cx.n:>5} {cx.num_facets:>7}  "
-                    f"{alg + '/' + piv:<18} {value:>8} {nodes:>9} {med:>9.3f}",
+                    f"{alg + '/' + piv:<18} {value:>8} {stats.nodes_expanded:>9} "
+                    f"{stats.cache_hits:>7} {med:>9.3f}",
                     flush=True,
                 )
     return 0

@@ -76,6 +76,8 @@ def _cmd_euler(args) -> int:
         def solve():
             value, stats = engine.euler(cx, cfg)
             counters = stats.counters()
+            counters["cache_hits"] = stats.cache_hits
+            counters["cache_evictions"] = stats.cache_evictions
             counters["algorithm"] = args.algorithm
             counters["pivot"] = cfg.resolved_pivot()
             return value, counters

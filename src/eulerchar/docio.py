@@ -125,6 +125,8 @@ def parse_dimacs(text: str) -> CnfFormula:
                 num_vars = int(parts[2])
             except ValueError:
                 raise InputError(f"bad DIMACS problem line {line!r}") from None
+            if num_vars > MAX_UNIVERSE:
+                raise CapacityError(f"p cnf {num_vars} exceeds the limit of {MAX_UNIVERSE}")
             continue
         try:
             tokens.extend(int(t) for t in line.split())

@@ -10,12 +10,18 @@ Two algorithms over the same node pipeline:
 Every node is simplified first (unused vertices dropped, abundant vertices
 eliminated with a sign flip), optionally decomposed along an independent
 vertex pair, possibly replaced by its nerve, and finally matched against the
-base cases before a pivot split.  Evaluation is an explicit stack machine, so
-recursion depth is bounded regardless of instance size, and all randomness is
-derived from (seed, node path), which makes every run bit-reproducible.
+base cases before a pivot split.  A small node (at most _TABLE_KEY_FACETS
+facets) that reaches its pivot split is first looked up in a subproblem
+table that lives for one euler() call and maps the node's exact facet tuple
+to its unsigned χ̃; a hit replaces the whole subtree by the stored value, a
+miss stores the value once the subtree is solved.  Evaluation is an explicit
+stack machine, so recursion depth is bounded regardless of instance size,
+and all randomness is derived from (seed, node path), which makes every run
+bit-reproducible.
 """
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -42,6 +48,17 @@ INDEPENDENCE = ("off", "root", "all")
 # node's facets are re-packed onto a dense universe
 _COMPRESS_MIN_WIDTH = 2048
 _COMPRESS_RATIO = 3
+
+# The subproblem table keys only nodes of at most _TABLE_KEY_FACETS facets.
+# A key is held from a node's split until its subtree is solved, so keying
+# every size piles keys up along a deep bcrt stack (655,497 facets at once on
+# rook-8-8, +19 MB peak RSS), and on the golden families large keys repeat so
+# rarely that they mostly push small, often repeated ones out of the table.
+_TABLE_KEY_FACETS = 64
+# the table holds keys of at most this many facets in total; a store that
+# would pass it evicts the oldest entries first (deterministic, so the
+# counters repeat from run to run)
+_TABLE_FACETS = 1 << 14
 
 _M64 = (1 << 64) - 1
 
@@ -92,6 +109,10 @@ class EngineStats:
     nerve_applications: int = 0
     abundant_eliminations: int = 0
     independence_splits: int = 0
+    # subproblem-table traffic; not in counters(), whose five keys the
+    # benchmark sums
+    cache_hits: int = 0
+    cache_evictions: int = 0
     elapsed: float = 0.0
 
     def counters(self):
@@ -333,18 +354,33 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
     t0 = time.perf_counter()
 
     # a node item (_NODE, facets, key, sign, is_root) stands for sign·χ̃(facets);
-    # _ADD and _MUL combine the top two values on the stack
+    # _MUL multiplies the top two values on the stack, and (_ADD, tkey, sign)
+    # adds them and files the sum, unsigned, in the table under tkey unless
+    # tkey is None
     todo = [(_NODE, list(cx.facets), _mix(cfg.seed & _M64), 1, True)]
     vals = []
+    table = {}
+    order = deque()  # the table's keys, oldest first
+    held = 0  # facets in the table's keys
     while todo:
         item = todo.pop()
         op = item[0]
         if op != _NODE:
             b = vals.pop()
-            if op == _ADD:
-                vals[-1] = checked_add(vals[-1], b)
-            else:
+            if op == _MUL:
                 vals[-1] = checked_mul(vals[-1], b)
+                continue
+            value = vals[-1] = checked_add(vals[-1], b)
+            _, tkey, tsign = item
+            if tkey is not None:
+                while order and held + len(tkey) > _TABLE_FACETS:
+                    old = order.popleft()
+                    held -= len(old)
+                    del table[old]
+                    stats.cache_evictions += 1
+                table[tkey] = value * tsign
+                order.append(tkey)
+                held += len(tkey)
             continue
 
         _, facets, key, sign, is_root = item
@@ -389,7 +425,19 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
             vals.append(value * sign)
             continue
 
-        todo.append((_ADD,))
+        # the facet tuple determines the complex exactly, and the facets are
+        # sorted here (maximal_sets, dbms's rest slice, bcrt's sorted outer
+        # and the monotone compression keep them so), so a repeated complex
+        # repeats its key
+        tkey = None
+        if m <= _TABLE_KEY_FACETS:
+            tkey = tuple(facets)
+            hit = table.get(tkey)
+            if hit is not None:
+                stats.cache_hits += 1
+                vals.append(hit * sign)
+                continue
+        todo.append((_ADD, tkey, sign))
         if dbms:
             idx = _select_dbms_masked(alive, facets, strategy, key)
             sigma = facets[idx]

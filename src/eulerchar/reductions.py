@@ -102,8 +102,10 @@ def sat_to_complex(f: CnfFormula) -> Tuple[Complex, int]:
     so the composite sign collapses to (-1)^num_clauses.  The tests pin this
     against the truth-table oracle over an exhaustive small enumeration.
     """
+    # CnfFormula keeps every literal within 1..num_vars, so the variables
+    # all occur exactly when as many distinct ones occur as are declared
     occurring = {abs(lit) for cl in f.clauses for lit in cl}
-    if occurring != set(range(1, f.num_vars + 1)):
+    if len(occurring) != f.num_vars:
         raise InputError("every variable must occur in some clause")
     sign = -1 if len(f.clauses) % 2 else 1
     return graph_to_complex(sat_to_graph(f)), sign

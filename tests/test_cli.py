@@ -147,6 +147,7 @@ def test_euler_stats_line_is_json(tmp_path, capsys):
     assert lines[0] == "-1"
     stats = json.loads(lines[1])
     assert stats["nodes_expanded"] >= 1
+    assert stats["cache_hits"] == stats["cache_evictions"] == 0
     assert "elapsed" not in stats  # deterministic stdout; timing goes to stderr
     assert "elapsed median" in err
 
@@ -247,7 +248,14 @@ def test_universe_cap_is_a_capacity_error(tmp_path, capsys):
         path = tmp_path / name
         path.write_text(doc)
         assert _run(capsys, "euler", str(path))[0] == 2, name
+    path = tmp_path / "big.cnf"
+    path.write_text(f"p cnf {over} 1\n1 0\n")
+    assert _run(capsys, "reduce", str(path))[0] == 2
     assert parse_ideal(f"vars {MAX_UNIVERSE}\n0 1\n").num_vars == MAX_UNIVERSE
+    # at the cap itself the header is read, and the coverage check refuses
+    # the unused variables without building anything num_vars-sized
+    path.write_text(f"p cnf {MAX_UNIVERSE} 1\n1 0\n")
+    assert _run(capsys, "reduce", str(path))[0] == 1
 
 
 # --- subprocess round trip (real pipes) ----------------------------------------

@@ -14,8 +14,10 @@ from eulerchar import (
     split_dbms,
     try_base_case,
 )
+from eulerchar import engine
 from eulerchar._bitops import mask
 from eulerchar.engine import BCRT_PIVOTS, DBMS_PIVOTS
+from eulerchar.generators import generate, parse_spec
 
 from conftest import all_complexes, random_complex
 
@@ -239,6 +241,47 @@ def test_engine_allocates_nothing_universe_sized():
         tracemalloc.stop()
     assert value == 0
     assert peak < 1 << 20
+
+
+# --- subproblem table ----------------------------------------------------------
+
+
+def test_table_hits_keep_golden_values():
+    # dbms finds no exact repeat on match-9 under any pivot; match-11 has them
+    for spec, cfg, want in [
+        ("match:11", EngineConfig(), -936),
+        ("match:9", EngineConfig(algorithm="bcrt", pivot="popvar"), -28),
+    ]:
+        value, stats = euler(generate(parse_spec(spec)), cfg)
+        assert value == want, spec
+        assert stats.cache_hits > 0, spec
+
+
+def test_table_eviction_changes_no_value(monkeypatch):
+    rook = generate(parse_spec("rook:6,6"))
+    cfg = EngineConfig(algorithm="bcrt")
+    want, roomy = euler(rook, cfg)
+    monkeypatch.setattr(engine, "_TABLE_FACETS", 64)
+    value, stats = euler(rook, cfg)
+    assert value == want == 185
+    assert stats.cache_evictions > roomy.cache_evictions
+    assert stats.nodes_expanded > roomy.nodes_expanded
+    again = euler(rook, cfg)[1]
+    assert again.counters() == stats.counters()
+    assert (again.cache_hits, again.cache_evictions) == (stats.cache_hits, stats.cache_evictions)
+
+
+def test_counters_keep_their_five_keys():
+    # the benchmark (perfbench/run.py) sums exactly these keys per pass;
+    # cache_hits and cache_evictions are EngineStats fields outside them
+    _, stats = euler(generate(parse_spec("match:9")), EngineConfig(algorithm="bcrt"))
+    assert set(stats.counters()) == {
+        "nodes_expanded",
+        "base_case_hits",
+        "nerve_applications",
+        "abundant_eliminations",
+        "independence_splits",
+    }
 
 
 def test_engine_counts_base_case_kinds():
