@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Benchmark harness: compare algorithms and pivot strategies on the
-generated families, reporting median wall time, node counts and subproblem
-table hits (subtrees the table saved).
+generated families, reporting median wall time, node counts, subproblem
+table hits (subtrees the table saved) and independence splits (nodes too
+large for the table that split into independent factors).
 
 Examples:
     python bench/benchmark.py                       # default instance set
@@ -51,7 +52,7 @@ def main(argv=None):
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     print(
         f"{'instance':>18} {'n':>5} {'m':>7}  {'config':<18} {'chi':>8} {'nodes':>9} "
-        f"{'hits':>7} {'median_s':>9}"
+        f"{'hits':>7} {'splits':>7} {'median_s':>9}"
     )
     for spec_text in args.instances:
         cx = generate(parse_spec(spec_text))
@@ -68,7 +69,7 @@ def main(argv=None):
                 print(
                     f"{spec_text:>18} {cx.n:>5} {cx.num_facets:>7}  "
                     f"{alg + '/' + piv:<18} {value:>8} {stats.nodes_expanded:>9} "
-                    f"{stats.cache_hits:>7} {med:>9.3f}",
+                    f"{stats.cache_hits:>7} {stats.independence_splits:>7} {med:>9.3f}",
                     flush=True,
                 )
     return 0

@@ -69,7 +69,6 @@ def _cmd_euler(args) -> int:
             algorithm=args.algorithm,
             pivot=args.pivot,
             use_nerve=args.nerve == "on",
-            independence=args.independence,
             seed=args.seed,
         )
 
@@ -178,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pe.add_argument("--pivot", default=None)
     pe.add_argument("--nerve", choices=["on", "off"], default="on")
-    pe.add_argument("--independence", choices=engine.INDEPENDENCE, default="root")
     pe.add_argument("--seed", type=int, default=0)
     pe.add_argument("--stats", action="store_true")
     pe.add_argument("--repeat", type=int, default=1)

@@ -142,8 +142,6 @@ def join(a: Complex, b: Complex) -> Complex:
 def _independent_pair_masked(alive, facets):
     """Vertex bipartition (A, B) of `alive` with every facet complement inside
     one side, or None; see find_independent_pair."""
-    if len(facets) < 2:
-        return None
     blobs = []
     for f in facets:
         c = alive & ~f
@@ -156,6 +154,8 @@ def _independent_pair_masked(alive, facets):
                 merged |= b
             else:
                 rest.append(b)
+        if merged == alive:
+            return None  # every later complement merges into this component
         rest.append(merged)
         blobs = rest
     if len(blobs) < 2:

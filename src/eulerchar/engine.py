@@ -8,9 +8,10 @@ Two algorithms over the same node pipeline:
           Δ = closure(facets∖{σ})
 
 Every node is simplified first (unused vertices dropped, abundant vertices
-eliminated with a sign flip), optionally decomposed along an independent
-vertex pair, possibly replaced by its nerve, and finally matched against the
-base cases before a pivot split.  A small node (at most _TABLE_KEY_FACETS
+eliminated with a sign flip), split into independent factors Δ_A ⊕ Δ_B
+(whose χ̃ multiply) if it is too large for the table below, possibly
+replaced by its nerve, and finally matched against the base cases before a
+pivot split.  A node small enough for the table (at most _TABLE_KEY_FACETS
 facets) that reaches its pivot split is first looked up in a subproblem
 table that lives for one euler() call and maps the node's exact facet tuple
 to its unsigned χ̃; a hit replaces the whole subtree by the stored value, a
@@ -21,7 +22,6 @@ bit-reproducible.
 """
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -42,7 +42,6 @@ ALGORITHMS = ("bcrt", "dbms")
 BCRT_PIVOTS = ("popvar", "rarevar", "random", "popgcd")
 DBMS_PIVOTS = ("rarevar", "popvar", "maxsupp", "minsupp", "random", "rarest", "raremax")
 DEFAULT_PIVOT = {"bcrt": "popvar", "dbms": "raremax"}
-INDEPENDENCE = ("off", "root", "all")
 
 # when the stored width is this much larger than the live vertex count the
 # node's facets are re-packed onto a dense universe
@@ -54,6 +53,9 @@ _COMPRESS_RATIO = 3
 # every size piles keys up along a deep bcrt stack (655,497 facets at once on
 # rook-8-8, +19 MB peak RSS), and on the golden families large keys repeat so
 # rarely that they mostly push small, often repeated ones out of the table.
+# It is also the split threshold: only a larger node tries the
+# independent-pair split, so small nodes rely on the table (which finds the
+# repeats a split would expose) and large joins split until it can key them.
 _TABLE_KEY_FACETS = 64
 # the table holds keys of at most this many facets in total; a store that
 # would pass it evicts the oldest entries first (deterministic, so the
@@ -84,7 +86,6 @@ class EngineConfig:
     algorithm: str = "dbms"
     pivot: Optional[str] = None  # None = algorithm default
     use_nerve: bool = True
-    independence: str = "root"  # independent-pair splits: off | root | all nodes
     seed: int = 0
 
     def resolved_pivot(self) -> str:
@@ -98,8 +99,6 @@ class EngineConfig:
             raise InputError(
                 f"pivot {self.pivot!r} is not a {self.algorithm} strategy {allowed}"
             )
-        if self.independence not in INDEPENDENCE:
-            raise InputError(f"independence {self.independence!r} is not one of {INDEPENDENCE}")
 
 
 @dataclass
@@ -347,20 +346,17 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
         cfg = EngineConfig()
     strategy = cfg.resolved_pivot()
     dbms = cfg.algorithm == "dbms"
-    split_root = cfg.independence != "off"
-    split_all = cfg.independence == "all"
     stats = EngineStats()
     hits = stats.base_case_hits
     t0 = time.perf_counter()
 
-    # a node item (_NODE, facets, key, sign, is_root) stands for sign·χ̃(facets);
+    # a node item (_NODE, facets, key, sign) stands for sign·χ̃(facets);
     # _MUL multiplies the top two values on the stack, and (_ADD, tkey, sign)
     # adds them and files the sum, unsigned, in the table under tkey unless
     # tkey is None
-    todo = [(_NODE, list(cx.facets), _mix(cfg.seed & _M64), 1, True)]
+    todo = [(_NODE, list(cx.facets), _mix(cfg.seed & _M64), 1)]
     vals = []
-    table = {}
-    order = deque()  # the table's keys, oldest first
+    table = {}  # insertion-ordered, so its first key is the oldest
     held = 0  # facets in the table's keys
     while todo:
         item = todo.pop()
@@ -373,17 +369,16 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
             value = vals[-1] = checked_add(vals[-1], b)
             _, tkey, tsign = item
             if tkey is not None:
-                while order and held + len(tkey) > _TABLE_FACETS:
-                    old = order.popleft()
+                while table and held + len(tkey) > _TABLE_FACETS:
+                    old = next(iter(table))
                     held -= len(old)
                     del table[old]
                     stats.cache_evictions += 1
                 table[tkey] = value * tsign
-                order.append(tkey)
                 held += len(tkey)
             continue
 
-        _, facets, key, sign, is_root = item
+        _, facets, key, sign = item
         stats.nodes_expanded += 1
         alive, facets, flip, elim = _simplify_masked(facets)
         sign *= flip
@@ -394,15 +389,15 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
             k, facets = compress_columns(alive, facets)
             alive = mask(k)
 
-        if split_all or (split_root and is_root):
+        if len(facets) > _TABLE_KEY_FACETS:
             pair = _independent_pair_masked(alive, facets)
             if pair is not None:
                 a, b = pair
                 fa, fb = _independent_parts_masked(alive, facets, a, b)
                 stats.independence_splits += 1
                 todo.append((_MUL,))
-                todo.append((_NODE, fb, _child_key(key, 3), 1, False))
-                todo.append((_NODE, fa, _child_key(key, 2), sign, False))
+                todo.append((_NODE, fb, _child_key(key, 3), 1))
+                todo.append((_NODE, fa, _child_key(key, 2), sign))
                 continue
 
         m = len(facets)
@@ -444,17 +439,17 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
             rest = facets[:idx] + facets[idx + 1 :]
             inner = maximal_sets([t & sigma for t in rest])
             assert len(rest) < m and len(inner) < m
-            todo.append((_NODE, inner, _child_key(key, 1), -sign, False))
-            todo.append((_NODE, rest, _child_key(key, 0), sign, False))
+            todo.append((_NODE, inner, _child_key(key, 1), -sign))
+            todo.append((_NODE, rest, _child_key(key, 0), sign))
         else:
             sigma = _select_bcrt_masked(alive, facets, strategy, key)
             # termination needs σ ⊊ V and σ ∉ Δ: the deletion branch loses a
             # vertex and the union branch gains the new face σ
             assert sigma != alive and all(sigma & ~f for f in facets)
             outer = sorted([f for f in facets if f & ~sigma] + [sigma])
-            todo.append((_NODE, outer, _child_key(key, 1), sign, False))
+            todo.append((_NODE, outer, _child_key(key, 1), sign))
             todo.append(
-                (_NODE, maximal_sets([f & sigma for f in facets]), _child_key(key, 0), sign, False)
+                (_NODE, maximal_sets([f & sigma for f in facets]), _child_key(key, 0), sign)
             )
 
     stats.elapsed = time.perf_counter() - t0

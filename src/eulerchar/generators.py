@@ -137,12 +137,15 @@ def gen_matching(a: int, max_facets: int = DEFAULT_FACET_LIMIT) -> Complex:
     edges, facets are the maximal matchings (perfect or near-perfect)."""
     if a < 2:
         raise InputError("gen_matching requires a >= 2")
+    count = 1  # (a-1)!! perfect matchings for even a, a!! near-perfect for odd a
+    for k in range(3, a + 1, 2):
+        count *= k
+        if count > max_facets:
+            raise CapacityError(f"match-{a} exceeds {max_facets} facets")
     n = a * (a - 1) // 2
     facets = []
 
     def rec(avail, bits, skips):
-        if len(facets) > max_facets:
-            raise CapacityError(f"match-{a} exceeds {max_facets} facets")
         if not avail:
             facets.append(bits)
             return
@@ -173,6 +176,11 @@ def gen_nicgraph(a: int, b: int, max_facets: int = DEFAULT_FACET_LIMIT) -> Compl
         raise InputError("gen_nicgraph requires b >= 2")
     if b >= a:
         raise InputError("gen_nicgraph requires b < a")
+    # C(a, b-1) cuts times 2^(a-b) - 1 bipartitions, each a distinct facet;
+    # a huge a - b is refused before its shift is built
+    k = a - b
+    if k > max_facets.bit_length() or math.comb(a, b - 1) * ((1 << k) - 1) > max_facets:
+        raise CapacityError(f"nicgraph-{a}-{b} has more than {max_facets} facets")
     n = a * (a - 1) // 2
     verts = range(a)
 
@@ -193,9 +201,4 @@ def gen_nicgraph(a: int, b: int, max_facets: int = DEFAULT_FACET_LIMIT) -> Compl
                     continue  # the other side must be nonempty
                 side_b = [v for v in rest if v not in side_a]
                 cand.append(clique_bits(side_a + cut) | clique_bits(tuple(side_b) + cut))
-                if len(cand) > 4 * max_facets:
-                    raise CapacityError(f"nicgraph-{a}-{b} candidate explosion")
-    cx = make_complex(n, cand)
-    if cx.num_facets > max_facets:
-        raise CapacityError(f"nicgraph-{a}-{b} has {cx.num_facets} facets")
-    return cx
+    return make_complex(n, cand)

@@ -79,11 +79,14 @@ def f_vector(cx: Complex, max_faces: int = DEFAULT_FACE_LIMIT) -> FVector:
 
     Faces are grown by appending vertices in ascending order while some facet
     still contains the whole face, so the walk visits the face lattice without
-    materializing 2^n subsets.  Aborts once more than max_faces are seen.
+    materializing 2^n subsets.  Aborts once more than max_faces are seen, or
+    up front if one facet alone has more (this bounds the recursion depth).
     """
     n = cx.n
     if not cx.facets:
         return FVector((0,) * (n + 1))
+    if 1 << max(f.bit_count() for f in cx.facets) > max_faces:
+        raise CapacityError(f"more than {max_faces} faces")
     rows = transpose_rows(cx.facets)  # vertex -> facets containing it
     row_list = [rows.get(v) for v in range(n)]
     counts = [0] * (n + 1)

@@ -258,6 +258,18 @@ def test_universe_cap_is_a_capacity_error(tmp_path, capsys):
     assert _run(capsys, "reduce", str(path))[0] == 1
 
 
+def test_oversized_outputs_exit_2(tmp_path, capsys):
+    # refused up front with an error line; each used to die with a
+    # RecursionError traceback or run for minutes
+    facet = tmp_path / "facet.cmpx"
+    facet.write_text("vertices 1500\n" + " ".join(map(str, range(1500))) + "\n")
+    code, _, err = _run(capsys, "fvector", str(facet))
+    assert code == 2 and err.startswith("error: "), err
+    for spec in ("match:3000", "nicgraph:40,2"):
+        code, _, err = _run(capsys, "gen", spec)
+        assert code == 2 and err.startswith("error: "), (spec, err)
+
+
 # --- subprocess round trip (real pipes) ----------------------------------------
 
 

@@ -220,12 +220,18 @@ def test_engine_deterministic_stats():
         assert a_stats.nodes_expanded >= 1
 
 
-def test_independence_toggles_change_nothing(rng):
-    for _ in range(60):
-        c = random_complex(rng, 10, 8)
-        base = euler(c, EngineConfig(independence="off"))[0]
-        assert euler(c, EngineConfig(independence="root"))[0] == base
-        assert euler(c, EngineConfig(independence="all"))[0] == base
+def test_large_join_splits_into_factors():
+    # complex_with_euler joins three-point blocks into nodes too large for the
+    # subproblem table; pivot splits alone take about 2^20 nodes here
+    from eulerchar.reductions import complex_with_euler
+
+    k = 2**40 + 12345
+    cx = complex_with_euler(k)
+    for alg in ("dbms", "bcrt"):
+        value, stats = euler(cx, EngineConfig(algorithm=alg))
+        assert value == k, alg
+        assert stats.nodes_expanded < 1000, (alg, stats.nodes_expanded)
+        assert stats.independence_splits > 0, alg
 
 
 def test_engine_allocates_nothing_universe_sized():
@@ -306,15 +312,14 @@ def test_checked_arithmetic_is_a_distinct_error():
 
 def test_engine_aborts_on_chi_overflow():
     # join of 63 three-point blocks has χ̃ = 2^63, one past the signed range;
-    # interior independence splits make the huge value reachable (the default
-    # additive recursion would need ~2^62 leaf contributions)
+    # independence splits of the large nodes make the huge value reachable
+    # (pivot splits alone would need ~2^62 leaf contributions)
     from eulerchar import EulerOverflowError
     from eulerchar.reductions import _power_block
 
-    cfg = EngineConfig(independence="all")
     with pytest.raises(EulerOverflowError):
-        euler(_power_block(63), cfg)
-    assert euler(_power_block(62), cfg)[0] == 1 << 62
+        euler(_power_block(63))
+    assert euler(_power_block(62))[0] == 1 << 62
 
 
 def test_config_validation():
@@ -324,7 +329,5 @@ def test_config_validation():
         EngineConfig(algorithm="bcrt", pivot="raremax")
     with pytest.raises(InputError):
         EngineConfig(algorithm="dbms", pivot="popgcd")
-    with pytest.raises(InputError):
-        EngineConfig(independence="some")
     assert EngineConfig().resolved_pivot() == "raremax"
     assert EngineConfig(algorithm="bcrt").resolved_pivot() == "popvar"

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import pytest
@@ -177,6 +178,24 @@ def test_gen_nicgraph_validation():
         gen_nicgraph(2, 2)
     with pytest.raises(InputError):
         gen_nicgraph(7, 1)
+
+
+def test_capacity_is_checked_before_building():
+    # the facet counts the up-front checks use are exact: (a-1)!! or a!!
+    # matchings, and C(a, b-1)·(2^(a-b) - 1) nicgraph facets for every b
+    assert gen_matching(11, max_facets=10395).num_facets == 10395
+    with pytest.raises(CapacityError):
+        gen_matching(11, max_facets=10394)
+    for a in range(3, 9):
+        for b in range(2, a):
+            count = math.comb(a, b - 1) * (2 ** (a - b) - 1)
+            assert gen_nicgraph(a, b, max_facets=count).num_facets == count, (a, b)
+            with pytest.raises(CapacityError):
+                gen_nicgraph(a, b, max_facets=count - 1)
+    # building these used to overflow the recursion limit or run for minutes
+    for spec in ("match:3000", "nicgraph:40,2", "nicgraph:1000000000,999999990"):
+        with pytest.raises(CapacityError):
+            generate(parse_spec(spec))
 
 
 # --- cross checks -----------------------------------------------------------

@@ -37,6 +37,13 @@ def test_guards():
         euler_by_inclusion_exclusion(make_complex(26, [{i} for i in range(26)]))
     with pytest.raises(CapacityError):
         f_vector(cx(4, {0, 1}, {1, 2}), max_faces=3)
+    # one facet of d vertices alone has 2^d faces: refused before the walk,
+    # whose recursion would otherwise go d levels deep
+    with pytest.raises(CapacityError):
+        f_vector(cx(1500, range(1500)))
+    assert f_vector(cx(3, {0, 1, 2}), max_faces=8).total == 8
+    with pytest.raises(CapacityError):
+        f_vector(cx(3, {0, 1, 2}), max_faces=7)
 
 
 def test_f_vector_examples():
