@@ -2,11 +2,13 @@
 
 A face / vertex set is a plain Python int used as a bit vector (bit i =
 element i).  CPython big ints already execute the word-level boolean ops in
-C, so these kernels focus on keeping the Python-level loop counts low: the
-antichain extraction switches to a transposed incidence representation for
-large batches, and wide integers are scanned through bytes instead of
-repeated shifts.
+C, so these kernels keep the Python-level loop counts low: maximal_sets
+switches to a transposed incidence view for large batches, wide ints are
+scanned through bytes, and compress_columns gathers bits from a set's binary
+string, where bit p is the character p places from the right.
 """
+
+from operator import itemgetter
 
 _BYTE_BITS = [tuple(b for b in range(8) if (v >> b) & 1) for v in range(256)]
 
@@ -122,13 +124,9 @@ def compress_columns(keep, sets):
     of `keep` in ascending order.  Returns (k, new_sets)."""
     positions = list(iter_bits(keep))
     k = len(positions)
-    nbytes = (keep.bit_length() + 7) >> 3
-    out = []
-    for f in sets:
-        fb = f.to_bytes(nbytes, "little")
-        ob = bytearray((k + 7) >> 3)
-        for j, p in enumerate(positions):
-            if fb[p >> 3] & (1 << (p & 7)):
-                ob[j >> 3] |= 1 << (j & 7)
-        out.append(int.from_bytes(bytes(ob), "little"))
-    return k, out
+    if not k:
+        return 0, [0] * len(sets)
+    fmt = f"0{keep.bit_length()}b"
+    # character ~p is bit p; picked highest first, keep's bits spell the new set
+    pick = itemgetter(*[~p for p in reversed(positions)])
+    return k, [int("".join(pick(format(f, fmt))), 2) for f in sets]

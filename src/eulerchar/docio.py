@@ -56,6 +56,12 @@ def _parse_rows(text, header, doc_name, row_name):
     return n, rows
 
 
+def _format_rows(header, n, rows):
+    """The writing twin of _parse_rows: one line per bitset row, 'empty' for 0."""
+    lines = [" ".join(str(v) for v in iter_bits(r)) if r else "empty" for r in rows]
+    return "\n".join([f"{header} {n}", *lines]) + "\n"
+
+
 def parse_complex(text: str) -> Complex:
     """Parse either format (JSON is recognized by a leading '{').  Input
     faces are maximalized, mirroring facets-only input conventions."""
@@ -85,10 +91,7 @@ def write_complex(cx: Complex, as_json: bool = False) -> str:
     if as_json:
         doc = {"vertices": cx.n, "facets": [list(iter_bits(f)) for f in cx.facets]}
         return json.dumps(doc) + "\n"
-    out = [f"vertices {cx.n}"]
-    for f in cx.facets:
-        out.append("empty" if f == 0 else " ".join(str(v) for v in iter_bits(f)))
-    return "\n".join(out) + "\n"
+    return _format_rows("vertices", cx.n, cx.facets)
 
 
 def parse_ideal(text: str) -> SquareFreeIdeal:
@@ -97,10 +100,7 @@ def parse_ideal(text: str) -> SquareFreeIdeal:
 
 
 def write_ideal(ideal: SquareFreeIdeal) -> str:
-    out = [f"vars {ideal.num_vars}"]
-    for g in ideal.generators:
-        out.append("empty" if g == 0 else " ".join(str(v) for v in iter_bits(g)))
-    return "\n".join(out) + "\n"
+    return _format_rows("vars", ideal.num_vars, ideal.generators)
 
 
 def write_dimacs(f: CnfFormula) -> str:

@@ -32,9 +32,7 @@ from .core import (
     _independent_pair_masked,
     _independent_parts_masked,
     _nerve_facets,
-    add_facet_closure,
     as_face,
-    restrict,
 )
 from .errors import InputError, checked_add, checked_mul
 
@@ -332,6 +330,19 @@ def _select_dbms_masked(alive, facets, strategy, key):
     return remaining[0]
 
 
+def _split_dbms_masked(facets, idx):
+    """dbms split on σ = facets[idx]: facets of (Δ, Δ⊖∁σ), the latter on σ."""
+    sigma = facets[idx]
+    rest = facets[:idx] + facets[idx + 1 :]
+    return rest, maximal_sets([t & sigma for t in rest])
+
+
+def _split_bcrt_masked(facets, sigma):
+    """bcrt split on σ: facets of (Δ⊖∁σ on σ, Δ∪pows σ sorted)."""
+    inner = maximal_sets([f & sigma for f in facets])
+    return inner, sorted([f for f in facets if f & ~sigma] + [sigma])
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -435,9 +446,7 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
         todo.append((_ADD, tkey, sign))
         if dbms:
             idx = _select_dbms_masked(alive, facets, strategy, key)
-            sigma = facets[idx]
-            rest = facets[:idx] + facets[idx + 1 :]
-            inner = maximal_sets([t & sigma for t in rest])
+            rest, inner = _split_dbms_masked(facets, idx)
             assert len(rest) < m and len(inner) < m
             todo.append((_NODE, inner, _child_key(key, 1), -sign))
             todo.append((_NODE, rest, _child_key(key, 0), sign))
@@ -446,11 +455,9 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
             # termination needs σ ⊊ V and σ ∉ Δ: the deletion branch loses a
             # vertex and the union branch gains the new face σ
             assert sigma != alive and all(sigma & ~f for f in facets)
-            outer = sorted([f for f in facets if f & ~sigma] + [sigma])
+            inner, outer = _split_bcrt_masked(facets, sigma)
             todo.append((_NODE, outer, _child_key(key, 1), sign))
-            todo.append(
-                (_NODE, maximal_sets([f & sigma for f in facets]), _child_key(key, 0), sign)
-            )
+            todo.append((_NODE, inner, _child_key(key, 0), sign))
 
     stats.elapsed = time.perf_counter() - t0
     return vals.pop(), stats
@@ -497,14 +504,14 @@ def split_bcrt(cx: Complex, sigma):
     # the split identity needs a non-empty σ with σ ∉ Δ and σ ⊊ V (for a
     # non-void Δ non-emptiness already follows from σ ∉ Δ)
     assert s and s != mask(cx.n) and all(s & ~f for f in cx.facets), "invalid bcrt pivot"
-    deleted, _ = restrict(cx, mask(cx.n) & ~s)
-    return deleted, add_facet_closure(cx, s)
+    inner, outer = _split_bcrt_masked(cx.facets, s)
+    k, packed = compress_columns(s, inner)
+    return Complex(k, tuple(packed)), Complex(cx.n, tuple(outer))
 
 
 def split_dbms(cx: Complex, facet_index: int):
     """(closure(facets∖{σ}), that closure ⊖ ∁σ); χ̃(Δ) = first - second."""
     assert len(cx.facets) >= 2, "dbms split needs at least two facets"
-    sigma = cx.facets[facet_index]
-    rest = Complex(cx.n, cx.facets[:facet_index] + cx.facets[facet_index + 1 :])
-    deleted, _ = restrict(rest, mask(cx.n) & ~sigma)
-    return rest, deleted
+    rest, inner = _split_dbms_masked(cx.facets, facet_index)
+    k, packed = compress_columns(cx.facets[facet_index], inner)
+    return Complex(cx.n, rest), Complex(k, tuple(packed))

@@ -8,7 +8,8 @@ complexes are bit-identical across runs.
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
+from operator import mul
 from typing import Optional
 
 from .core import Complex, make_complex
@@ -106,22 +107,16 @@ def gen_rook(a: int, b: int, max_facets: int = DEFAULT_FACET_LIMIT) -> Complex:
     index i*b+j), facets are the placements of min(a,b) non-attacking rooks."""
     if a < 1 or b < 1:
         raise InputError("gen_rook requires positive board dimensions")
-    count = math.perm(max(a, b), min(a, b))
-    if count > max_facets:
-        raise CapacityError(f"rook-{a}-{b} would have {count} facets")
+    if any(c > max_facets for c in accumulate(range(max(a, b), abs(a - b), -1), mul)):
+        raise CapacityError(f"rook-{a}-{b} exceeds {max_facets} facets")
+    # rook k of the short side stands on line p of the long side
+    ks, ps = (b, 1) if a <= b else (1, b)
     facets = []
-    if a <= b:
-        for cols in permutations(range(b), a):
-            bits = 0
-            for i, j in enumerate(cols):
-                bits |= 1 << (i * b + j)
-            facets.append(bits)
-    else:
-        for rows in permutations(range(a), b):
-            bits = 0
-            for j, i in enumerate(rows):
-                bits |= 1 << (i * b + j)
-            facets.append(bits)
+    for perm in permutations(range(max(a, b)), min(a, b)):
+        bits = 0
+        for k, p in enumerate(perm):
+            bits |= 1 << (k * ks + p * ps)
+        facets.append(bits)
     return Complex(a * b, tuple(sorted(facets)))
 
 
@@ -137,11 +132,9 @@ def gen_matching(a: int, max_facets: int = DEFAULT_FACET_LIMIT) -> Complex:
     edges, facets are the maximal matchings (perfect or near-perfect)."""
     if a < 2:
         raise InputError("gen_matching requires a >= 2")
-    count = 1  # (a-1)!! perfect matchings for even a, a!! near-perfect for odd a
-    for k in range(3, a + 1, 2):
-        count *= k
-        if count > max_facets:
-            raise CapacityError(f"match-{a} exceeds {max_facets} facets")
+    # (a-1)!! perfect matchings for even a, a!! near-perfect for odd a
+    if any(c > max_facets for c in accumulate(range(3, a + 1, 2), mul)):
+        raise CapacityError(f"match-{a} exceeds {max_facets} facets")
     n = a * (a - 1) // 2
     facets = []
 

@@ -1,0 +1,105 @@
+"""The bit kernels against their set-comprehension definitions."""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from eulerchar._bitops import compress_columns, iter_bits, transpose_rows
+
+# 4096/4097 straddle iter_bits' switch from shifts to a byte scan; 10,395 is
+# the facet count of match-11, whose nerve is the widest golden universe
+WIDTHS = (1, 63, 64, 65, 720, 4096, 4097, 10395)
+
+
+def ref_bits(x):
+    return [p for p in range(x.bit_length()) if x >> p & 1]
+
+
+def ref_transpose(sets):
+    elements = {v for s in sets for v in ref_bits(s)}
+    return {v: sum(1 << i for i, s in enumerate(sets) if s >> v & 1) for v in elements}
+
+
+def ref_compress(keep, sets):
+    positions = ref_bits(keep)
+    return len(positions), [
+        sum(1 << j for j, p in enumerate(positions) if s >> p & 1) for s in sets
+    ]
+
+
+def sparse_set(rng, width, density):
+    x = 0
+    for p in range(width):
+        if rng.random() < density:
+            x |= 1 << p
+    return x
+
+
+def check(keep, sets):
+    assert list(iter_bits(keep)) == ref_bits(keep)
+    for s in sets:
+        assert list(iter_bits(s)) == ref_bits(s)
+    assert transpose_rows(sets) == ref_transpose(sets)
+    assert compress_columns(keep, sets) == ref_compress(keep, sets)
+
+
+def test_empty_and_zero_inputs():
+    assert transpose_rows([]) == {}
+    assert transpose_rows([0, 0, 0]) == {}
+    assert compress_columns(0, []) == (0, [])
+    assert compress_columns(0, [0, 0]) == (0, [0, 0])
+    assert compress_columns(0b1010, [0, 0]) == (2, [0, 0])
+    assert list(iter_bits(0)) == []
+
+
+def test_single_bit_keep():
+    for p in (0, 1, 63, 64, 4096, 10394):
+        keep = 1 << p
+        below = keep - 1
+        assert compress_columns(keep, [keep, 0, keep | below, below]) == (1, [1, 0, 1, 0])
+
+
+def test_one_set_transpose():
+    for width in WIDTHS:
+        s = (1 << width) - 1
+        assert transpose_rows([s]) == {v: 1 for v in range(width)}
+        assert transpose_rows([1 << (width - 1)]) == {width - 1: 1}
+
+
+def test_bits_outside_keep_are_dropped():
+    # bits below and between keep's bits must not leak into the result (a
+    # set never reaches above keep's highest bit)
+    keep = 0b1100_0100
+    assert compress_columns(keep, [0b0011_1011, 0xFF, 0b0101_0000]) == (3, [0, 0b111, 0b010])
+
+
+def test_seeded_widths():
+    rng = random.Random(0x5EED)
+    for width in WIDTHS:
+        for density in (0.02, 0.5, 0.97):
+            m = rng.randint(1, 40)
+            sets = [sparse_set(rng, width, density) for _ in range(m)]
+            keep = sparse_set(rng, width, rng.choice((0.05, 0.5))) | 1 << (width - 1)
+            check(keep, sets)
+            # keep inside the union of the sets, as the engine calls it
+            union = 0
+            for s in sets:
+                union |= s
+            check(union, sets)
+            check(keep, sets + [0])
+
+
+def test_many_sets_few_elements():
+    # the nerve's shape: thousands of short rows become a few long columns
+    rng = random.Random(11)
+    sets = [rng.getrandbits(55) for _ in range(5000)]
+    check(rng.getrandbits(55) | 1 << 54, sets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    keep=st.integers(min_value=0, max_value=(1 << 130) - 1),
+    sets=st.lists(st.integers(min_value=0, max_value=(1 << 130) - 1), max_size=12),
+)
+def test_kernels_match_definitions(keep, sets):
+    check(keep, [s & ((1 << keep.bit_length()) - 1) for s in sets])

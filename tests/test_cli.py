@@ -270,6 +270,35 @@ def test_oversized_outputs_exit_2(tmp_path, capsys):
         assert code == 2 and err.startswith("error: "), (spec, err)
 
 
+def test_wide_sparse_document_stays_small(tmp_path):
+    # one facet reaches the top of a 2^24-vertex universe and 512 short ones
+    # of mixed sizes stay low, so parsing takes maximal_sets' transposed path;
+    # a transpose costing one character per set and universe bit would need
+    # about 8.6 GB here.  The child caps its own address space at 1 GiB, so
+    # such a regression fails with MemoryError instead of exhausting the host.
+    rows = [f"{i} {i + 1000}" if i % 2 else f"{i} {i + 1000} {i + 2000}" for i in range(512)]
+    path = tmp_path / "wide.cmpx"
+    path.write_text("\n".join([f"vertices {MAX_UNIVERSE}", f"0 {MAX_UNIVERSE - 1}", *rows]) + "\n")
+    script = (
+        "import resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from eulerchar import nerve\n"
+        "from eulerchar.docio import parse_complex\n"
+        "t = time.perf_counter()\n"
+        "cx = parse_complex(open(sys.argv[1]).read())\n"
+        "nv = nerve(cx)\n"
+        "print(len(cx.facets), len(nv.facets), time.perf_counter() - t,\n"
+        "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(path)], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    facets, nerve_facets, seconds, rss_kb = done.stdout.split()
+    assert (int(facets), int(nerve_facets)) == (513, 512)
+    assert float(seconds) < 10 and int(rss_kb) < 200_000, done.stdout
+
+
 # --- subprocess round trip (real pipes) ----------------------------------------
 
 

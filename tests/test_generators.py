@@ -182,18 +182,28 @@ def test_gen_nicgraph_validation():
 
 def test_capacity_is_checked_before_building():
     # the facet counts the up-front checks use are exact: (a-1)!! or a!!
-    # matchings, and C(a, b-1)·(2^(a-b) - 1) nicgraph facets for every b
+    # matchings, 8!/0! rook placements, and C(a, b-1)·(2^(a-b) - 1) nicgraph
+    # facets for every b
     assert gen_matching(11, max_facets=10395).num_facets == 10395
     with pytest.raises(CapacityError):
         gen_matching(11, max_facets=10394)
+    assert gen_rook(8, 8, max_facets=40320).num_facets == 40320
+    with pytest.raises(CapacityError):
+        gen_rook(8, 8, max_facets=40319)
     for a in range(3, 9):
         for b in range(2, a):
             count = math.comb(a, b - 1) * (2 ** (a - b) - 1)
             assert gen_nicgraph(a, b, max_facets=count).num_facets == count, (a, b)
             with pytest.raises(CapacityError):
                 gen_nicgraph(a, b, max_facets=count - 1)
-    # building these used to overflow the recursion limit or run for minutes
-    for spec in ("match:3000", "nicgraph:40,2", "nicgraph:1000000000,999999990"):
+    # building these used to overflow the recursion limit or run for minutes,
+    # and the exact rook count alone took seconds
+    for spec in (
+        "match:3000",
+        "nicgraph:40,2",
+        "nicgraph:1000000000,999999990",
+        "rook:1000000,1000000",
+    ):
         with pytest.raises(CapacityError):
             generate(parse_spec(spec))
 
