@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark harness: compare algorithms and pivot strategies on the
-generated families, reporting median wall time, node counts, subproblem
+generated families, reporting median wall time, node counts, abundant-vertex
+eliminations (one per missing facet dropped by simplification), subproblem
 table hits (subtrees the table saved) and independence splits (nodes too
 large for the table that split into independent factors).
 
@@ -52,7 +53,7 @@ def main(argv=None):
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     print(
         f"{'instance':>18} {'n':>5} {'m':>7}  {'config':<18} {'chi':>8} {'nodes':>9} "
-        f"{'hits':>7} {'splits':>7} {'median_s':>9}"
+        f"{'elims':>9} {'hits':>7} {'splits':>7} {'median_s':>9}"
     )
     for spec_text in args.instances:
         cx = generate(parse_spec(spec_text))
@@ -69,7 +70,8 @@ def main(argv=None):
                 print(
                     f"{spec_text:>18} {cx.n:>5} {cx.num_facets:>7}  "
                     f"{alg + '/' + piv:<18} {value:>8} {stats.nodes_expanded:>9} "
-                    f"{stats.cache_hits:>7} {stats.independence_splits:>7} {med:>9.3f}",
+                    f"{stats.abundant_eliminations:>9} {stats.cache_hits:>7} "
+                    f"{stats.independence_splits:>7} {med:>9.3f}",
                     flush=True,
                 )
     return 0

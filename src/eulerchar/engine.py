@@ -7,17 +7,22 @@ Two algorithms over the same node pipeline:
 * dbms: split on a facet σ:  χ̃(D) = χ̃(Δ) - χ̃(Δ⊖∁σ)  with
           Δ = closure(facets∖{σ})
 
-Every node is simplified first (unused vertices dropped, abundant vertices
-eliminated with a sign flip), split into independent factors Δ_A ⊕ Δ_B
-(whose χ̃ multiply) if it is too large for the table below, possibly
-replaced by its nerve, and finally matched against the base cases before a
-pivot split.  A node small enough for the table (at most _TABLE_KEY_FACETS
-facets) that reaches its pivot split is first looked up in a subproblem
-table that lives for one euler() call and maps the node's exact facet tuple
-to its unsigned χ̃; a hit replaces the whole subtree by the stored value, a
-miss stores the value once the subtree is solved.  Evaluation is an explicit
-stack machine, so recursion depth is bounded regardless of instance size,
-and all randomness is derived from (seed, node path), which makes every run
+Every node is simplified first: unused vertices are dropped, and each pass
+eliminates all of its abundant vertices in one batch, with one sign flip per
+missing facet and one maximal_sets (see _simplify_masked for why that equals
+eliminating them one at a time).  A node whose stored width far exceeds its
+live vertex count is then re-packed onto those vertices (the root before its
+first simplify, too).  It is split into independent factors Δ_A ⊕ Δ_B (whose
+χ̃ multiply) if it is too large for the table below, possibly replaced by
+its nerve, and finally matched against the base cases before a pivot split.
+
+A node small enough for the table (at most _TABLE_KEY_FACETS facets) that
+reaches its pivot split is first looked up in a subproblem table that lives
+for one euler() call and maps the node's exact facet tuple to its unsigned
+χ̃; a hit replaces the whole subtree by the stored value, a miss stores the
+value once the subtree is solved.  Evaluation is an explicit stack machine,
+so recursion depth is bounded regardless of instance size, and all
+randomness is derived from (seed, node path), which makes every run
 bit-reproducible.
 """
 
@@ -136,7 +141,25 @@ def _simplify_masked(facets):
     every facet except exactly one facet σ; eliminating it replaces the
     complex by closure(facets∖{σ}) ⊖ ∁σ and flips the sign (the discarded
     closure is a cone, so its χ̃ contribution is 0 and the split identity
-    leaves a minus sign).
+    leaves a minus sign).  The other vertices missing σ leave with it as
+    unused vertices, so the count and the sign go once per σ.
+
+    Each pass eliminates its abundant vertices in one batch, lowest vertex
+    first: t is the intersection of the σs taken so far, and the pass ends
+    with one maximal_sets of f ∩ t over the facets f still live.  Maximality
+    is preserved under intersection with t (each f ∩ t lies in g ∩ t for a
+    maximal g), so that one maximalization equals the chain of per-σ ones.
+    A later σ stays the missing facet of its vertex v as long as σ ∩ t is
+    still a facet there: v lies in every other live facet and in t, so no
+    other f ∩ t lies inside σ ∩ t.  Two guards keep the batch equal to
+    eliminating the vertices one at a time:
+
+    * stop rule: at most m - 1 of the m facets go, so the node never loses
+      its last facet (a simplex boundary would otherwise become void);
+    * cone guard: from the second σ on, the batch stops when σ ∩ t lies in
+      another live facet.  That facet would swallow σ ∩ t, leaving v in every
+      facet: a cone, which the next pass keeps and the base case scores.  The
+      first σ needs no check, since the input is an antichain.
     """
     sign = 1
     elim = 0
@@ -156,16 +179,38 @@ def _simplify_masked(facets):
         abundant = once & ~twice
         if not abundant:
             return alive, facets, sign, elim
-        ebit = abundant & -abundant
-        drop = 0
-        for i, f in enumerate(facets):
-            if not f & ebit:
-                drop = i
+        t = alive
+        k = 0  # σs taken
+        rest = abundant  # abundant vertices whose σ is still live
+        while rest and k < m - 1:
+            ebit = rest & -rest
+            for sigma in facets:
+                if not sigma & ebit:
+                    break
+            s = sigma & t
+            # s lies in the k σs taken and in this one; one more holder is a
+            # live facet that makes a cone
+            if k and [s & ~f for f in facets].count(0) > k + 1:
                 break
-        sigma = facets[drop]
-        facets = maximal_sets([facets[j] & sigma for j in range(m) if j != drop])
-        sign = -sign
-        elim += 1
+            t = s
+            k += 1
+            rest &= t
+        # the σs taken are the facets containing t: a live one would have
+        # stopped the batch (or, for the first σ, broken the antichain)
+        facets = maximal_sets([g for f in facets if (g := f & t) != t])
+        if k % 2:
+            sign = -sign
+        elim += k
+
+
+def _narrowed(alive, facets):
+    """(alive, facets), re-packed onto alive's vertices when the stored width
+    is much larger than the live vertex count."""
+    width = alive.bit_length()
+    if width > _COMPRESS_MIN_WIDTH and _COMPRESS_RATIO * alive.bit_count() < width:
+        k, facets = compress_columns(alive, facets)
+        alive = mask(k)
+    return alive, facets
 
 
 def _base_case_masked(universe, facets):
@@ -365,7 +410,11 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
     # _MUL multiplies the top two values on the stack, and (_ADD, tkey, sign)
     # adds them and files the sum, unsigned, in the table under tkey unless
     # tkey is None
-    todo = [(_NODE, list(cx.facets), _mix(cfg.seed & _M64), 1)]
+    root = list(cx.facets)
+    alive = 0
+    for f in root:
+        alive |= f
+    todo = [(_NODE, _narrowed(alive, root)[1], _mix(cfg.seed & _M64), 1)]
     vals = []
     table = {}  # insertion-ordered, so its first key is the oldest
     held = 0  # facets in the table's keys
@@ -395,10 +444,7 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
         sign *= flip
         stats.abundant_eliminations += elim
 
-        width = alive.bit_length()
-        if width > _COMPRESS_MIN_WIDTH and _COMPRESS_RATIO * alive.bit_count() < width:
-            k, facets = compress_columns(alive, facets)
-            alive = mask(k)
+        alive, facets = _narrowed(alive, facets)
 
         if len(facets) > _TABLE_KEY_FACETS:
             pair = _independent_pair_masked(alive, facets)

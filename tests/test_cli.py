@@ -270,15 +270,19 @@ def test_oversized_outputs_exit_2(tmp_path, capsys):
         assert code == 2 and err.startswith("error: "), (spec, err)
 
 
-def test_wide_sparse_document_stays_small(tmp_path):
+def wide_sparse_document():
     # one facet reaches the top of a 2^24-vertex universe and 512 short ones
-    # of mixed sizes stay low, so parsing takes maximal_sets' transposed path;
+    # of mixed sizes stay low, so parsing takes maximal_sets' transposed path
+    rows = [f"{i} {i + 1000}" if i % 2 else f"{i} {i + 1000} {i + 2000}" for i in range(512)]
+    return "\n".join([f"vertices {MAX_UNIVERSE}", f"0 {MAX_UNIVERSE - 1}", *rows]) + "\n"
+
+
+def test_wide_sparse_document_stays_small(tmp_path):
     # a transpose costing one character per set and universe bit would need
     # about 8.6 GB here.  The child caps its own address space at 1 GiB, so
     # such a regression fails with MemoryError instead of exhausting the host.
-    rows = [f"{i} {i + 1000}" if i % 2 else f"{i} {i + 1000} {i + 2000}" for i in range(512)]
     path = tmp_path / "wide.cmpx"
-    path.write_text("\n".join([f"vertices {MAX_UNIVERSE}", f"0 {MAX_UNIVERSE - 1}", *rows]) + "\n")
+    path.write_text(wide_sparse_document())
     script = (
         "import resource, sys, time\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
@@ -297,6 +301,26 @@ def test_wide_sparse_document_stays_small(tmp_path):
     facets, nerve_facets, seconds, rss_kb = done.stdout.split()
     assert (int(facets), int(nerve_facets)) == (513, 512)
     assert float(seconds) < 10 and int(rss_kb) < 200_000, done.stdout
+
+
+def test_wide_sparse_root_is_narrowed_before_simplify(monkeypatch):
+    # the root's facets are re-packed onto their 1,281 live vertices before
+    # the first simplify, so no node does mask arithmetic on 2 MB ints
+    from eulerchar import EngineConfig, engine, euler
+
+    cx = parse_complex(wide_sparse_document())
+    widths = []
+    simplify = engine._simplify_masked
+
+    def recording(facets):
+        widths.append(max((f.bit_length() for f in facets), default=0))
+        return simplify(facets)
+
+    monkeypatch.setattr(engine, "_simplify_masked", recording)
+    for alg, nodes in (("dbms", 1021), ("bcrt", 1019)):
+        value, stats = euler(cx, EngineConfig(algorithm=alg))
+        assert (value, stats.nodes_expanded) == (511, nodes), alg
+    assert max(widths) < 4096
 
 
 # --- subprocess round trip (real pipes) ----------------------------------------

@@ -48,8 +48,14 @@ def test_simplify_sign_contract_on_examples():
 
 
 def test_simplify_reaches_fixpoint(rng):
-    for _ in range(200):
-        c = random_complex(rng, 10, 10)
+    # dense facets give passes with many abundant vertices, and with them
+    # the cases where a batch must stop before a cone
+    for _ in range(3000):
+        n = rng.randint(1, 11)
+        density = rng.choice((0.3, 0.5, 0.7, 0.85, 0.95))
+        c = make_complex(
+            n, [[v for v in range(n) if rng.random() < density] for _ in range(rng.randint(1, 14))]
+        )
         out, sign = simplify(c)
         assert sign in (-1, 1)
         assert sign * euler_by_subsets(out) == euler_by_subsets(c)
@@ -62,6 +68,24 @@ def test_simplify_reaches_fixpoint(rng):
         for v in range(out.n):
             missing = sum(1 for f in out.facets if not (f >> v) & 1)
             assert missing != 1, (c, out, v)
+
+
+def test_simplify_simplex_boundaries():
+    # every vertex is abundant, each missing its own facet: the batch must
+    # stop one facet short of void, leaving {∅} with sign (-1)^(n-1)
+    for n in range(1, 13):
+        boundary = make_complex(n, [mask(n) ^ (1 << v) for v in range(n)])
+        assert simplify(boundary) == (Complex(0, (0,)), (-1) ** (n - 1)), n
+        assert euler_by_subsets(boundary) == (-1) ** n
+
+
+def test_simplify_stops_before_a_cone():
+    # 0 misses {1,2} and 2 misses {0,3}; after the first, {0,3} ∩ {1,2} = ∅
+    # lies in the live {0,2}, so the batch stops, and the next pass is left
+    # with the cone {2} (the path 1-2-0-3 is contractible)
+    path = cx(4, {0, 2}, {1, 2}, {0, 3})
+    assert simplify(path) == (cx(1, {0}), -1)
+    assert euler_by_subsets(path) == 0
 
 
 def test_simplify_void_and_point():
