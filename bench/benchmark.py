@@ -16,8 +16,8 @@ import statistics
 import sys
 import time
 
-from eulerchar import EngineConfig, euler
-from eulerchar.engine import BCRT_PIVOTS, DBMS_PIVOTS
+from eulerchar import CapacityError, EngineConfig, InputError, euler
+from eulerchar.engine import ALGORITHMS, BCRT_PIVOTS, DBMS_PIVOTS
 from eulerchar.generators import generate, parse_spec
 
 # modest defaults: every strategy finishes in seconds on these; pass
@@ -51,19 +51,28 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
+    pivot_names = [p.strip() for p in (args.pivots or "").split(",") if p.strip()]
+    if args.repeat < 1:
+        ap.error("--repeat must be at least 1")
+    if not algorithms or not set(algorithms) <= set(ALGORITHMS):
+        ap.error(f"--algorithms takes a comma list of {', '.join(ALGORITHMS)}")
+    # a pivot is run under each chosen algorithm that has it
+    known = {p for a in algorithms for p in (BCRT_PIVOTS if a == "bcrt" else DBMS_PIVOTS)}
+    if not set(pivot_names) <= known:
+        ap.error(f"--pivots takes a comma list of {', '.join(sorted(known))}")
+    try:
+        instances = [(text, generate(parse_spec(text))) for text in args.instances]
+    except (InputError, CapacityError) as exc:
+        ap.error(str(exc))
+
     print(
         f"{'instance':>18} {'n':>5} {'m':>7}  {'config':<18} {'chi':>8} {'nodes':>9} "
         f"{'elims':>9} {'hits':>7} {'splits':>7} {'median_s':>9}"
     )
-    for spec_text in args.instances:
-        cx = generate(parse_spec(spec_text))
+    for spec_text, cx in instances:
         for alg in algorithms:
             all_pivots = BCRT_PIVOTS if alg == "bcrt" else DBMS_PIVOTS
-            pivots = (
-                [p for p in args.pivots.split(",") if p in all_pivots]
-                if args.pivots
-                else all_pivots
-            )
+            pivots = [p for p in pivot_names if p in all_pivots] if pivot_names else all_pivots
             for piv in pivots:
                 cfg = EngineConfig(algorithm=alg, pivot=piv, use_nerve=args.nerve == "on")
                 value, stats, med = run_one(cx, cfg, args.repeat)

@@ -119,6 +119,40 @@ def _maximal_transposed(order, sizes):
     return kept
 
 
+def count_planes(sets):
+    """Bit-sliced per-element counters: planes[i] holds bit i of the number
+    of sets containing each element, and len(planes) is the bit length of
+    the largest count.  The sets go in two at a time: a full adder puts them
+    into the lowest plane, and its carry ripples up."""
+    planes = [0] * len(sets).bit_length()
+    pairs = iter(sets)
+    for a in pairs:
+        b = next(pairs, 0)
+        low = planes[0]
+        t = low ^ a
+        carry = (low & a) | (t & b)
+        planes[0] = t ^ b
+        i = 1
+        while carry:
+            p = planes[i]
+            planes[i] = p ^ carry
+            carry &= p
+            i += 1
+    while planes and not planes[-1]:
+        planes.pop()
+    return planes
+
+
+def count_is(planes, sel, c):
+    """Elements of sel lying in exactly c of the sets counted into planes;
+    0 when c is negative or has more bits than planes."""
+    if c >> len(planes):
+        return 0
+    for i, p in enumerate(planes):
+        sel &= p if c >> i & 1 else ~p
+    return sel
+
+
 def compress_columns(keep, sets):
     """Re-index each bitset onto the dense universe enumerating the set bits
     of `keep` in ascending order.  Returns (k, new_sets)."""

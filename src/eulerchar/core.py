@@ -11,7 +11,9 @@ to share between threads.
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from ._bitops import compress_columns, iter_bits, mask, maximal_sets, transpose_rows
+from ._bitops import (
+    compress_columns, count_is, count_planes, iter_bits, mask, maximal_sets, transpose_rows
+)
 from .errors import InputError
 
 FaceLike = Union[int, Iterable[int]]
@@ -87,20 +89,11 @@ def add_facet_closure(cx: Complex, sigma: FaceLike) -> Complex:
     return Complex(cx.n, tuple(sorted(facets)))
 
 
-def _common_vertices(facets):
-    """Vertices lying in every facet of a non-empty facet list (0 if none)."""
-    common = facets[0]
-    for f in facets:
-        common &= f
-        if not common:
-            break
-    return common
-
-
 def is_cone(cx: Complex) -> Optional[int]:
     """Lowest vertex contained in every facet, or None.  Void and {∅} are
     not cones."""
-    common = _common_vertices(cx.facets) if cx.facets else 0
+    m = len(cx.facets)
+    common = count_is(count_planes(cx.facets), mask(cx.n), m) if m else 0
     return (common & -common).bit_length() - 1 if common else None
 
 

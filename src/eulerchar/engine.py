@@ -28,12 +28,13 @@ bit-reproducible.
 
 import time
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import Optional
 
-from ._bitops import compress_columns, iter_bits, mask, maximal_sets
+from ._bitops import compress_columns, count_is, count_planes, iter_bits, mask, maximal_sets
 from .core import (
     Complex,
-    _common_vertices,
     _independent_pair_masked,
     _independent_parts_masked,
     _nerve_facets,
@@ -130,19 +131,20 @@ class EngineStats:
 
 # ---------------------------------------------------------------------------
 # node pipeline pieces, shared by the stack machine and the public operations
-# (the nerve, independence split and cone test kernels live in core)
+# (the nerve and independence split kernels live in core, the vertex counts in _bitops)
 # ---------------------------------------------------------------------------
 
 
 def _simplify_masked(facets):
     """Fixpoint of unused-vertex removal and abundant-vertex elimination.
 
-    Returns (alive, facets, sign, eliminations).  An abundant vertex lies in
-    every facet except exactly one facet σ; eliminating it replaces the
-    complex by closure(facets∖{σ}) ⊖ ∁σ and flips the sign (the discarded
-    closure is a cone, so its χ̃ contribution is 0 and the split identity
-    leaves a minus sign).  The other vertices missing σ leave with it as
-    unused vertices, so the count and the sign go once per σ.
+    Returns (alive, facets, planes, sign, eliminations), planes counting the
+    returned facets.  An abundant vertex lies in m - 1 of the m facets, all
+    but σ; eliminating it replaces the complex by closure(facets∖{σ}) ⊖ ∁σ
+    and flips the sign (the discarded closure is a cone, so its χ̃
+    contribution is 0 and the split identity leaves a minus sign).  The other
+    vertices missing σ leave with it as unused vertices, so the count and the
+    sign go once per σ.
 
     Each pass eliminates its abundant vertices in one batch, lowest vertex
     first: t is the intersection of the σs taken so far, and the pass ends
@@ -164,21 +166,12 @@ def _simplify_masked(facets):
     sign = 1
     elim = 0
     while True:
-        alive = 0
-        for f in facets:
-            alive |= f
+        planes = count_planes(facets)
+        alive = reduce(or_, planes, 0)
         m = len(facets)
-        if m <= 1:
-            return alive, facets, sign, elim
-        once = 0
-        twice = 0
-        for f in facets:
-            c = alive & ~f
-            twice |= once & c
-            once |= c
-        abundant = once & ~twice
+        abundant = count_is(planes, alive, m - 1)
         if not abundant:
-            return alive, facets, sign, elim
+            return alive, facets, planes, sign, elim
         t = alive
         k = 0  # σs taken
         rest = abundant  # abundant vertices whose σ is still live
@@ -213,66 +206,30 @@ def _narrowed(alive, facets):
     return alive, facets
 
 
-def _base_case_masked(universe, facets):
+def _base_case_masked(universe, facets, planes):
     """Terminal values, tried in order.  Returns (value, kind) or None.
 
-    The 3-facet and 4-facet rules carry their own structural guards (pairwise
-    disjoint facets / 4 vertices each in exactly two facets) so they are safe
-    even if a caller skipped simplification.
+    universe is the union of the facets and planes count them, so each rule
+    is an exact test of how many of the m facets hold each vertex: a cone has
+    a vertex in all m, a simplex boundary (co-disjoint facets) every vertex
+    in m - 1 (for m = 2, any non-cone), three disjoint simplices none in two,
+    and a 4-cycle four facets on four vertices, each in two (over more
+    vertices that also fits blown-up K4s, whose χ̃ is -2 or -3).
     """
     m = len(facets)
     if m == 0:
         return 0, "void"
     if m == 1 and facets[0] == 0:
         return -1, "empty_face"
-    if _common_vertices(facets):
+    if count_is(planes, universe, m):
         return 0, "cone"
-    if m >= 2:
-        once = 0
-        twice = 0
-        for f in facets:
-            c = universe & ~f
-            twice |= once & c
-            once |= c
-        if not twice:  # complements pairwise disjoint = facets pairwise co-disjoint
-            return (1 if m % 2 == 0 else -1), "codisjoint"
-    if m == 2:
-        return 1, "two_facets"
-    if m == 3:
-        v1 = 0
-        v2 = 0
-        for f in facets:
-            v2 |= v1 & f
-            v1 |= f
-        if not v2:  # three pairwise disjoint simplices
-            return 2, "three_facets"
-    if m == 4 and universe.bit_count() == 4:
-        c1 = c2 = c3 = 0
-        for f in facets:
-            c3 |= c2 & f
-            c2 |= c1 & f
-            c1 |= f
-        if c2 & ~c3 == universe:  # every vertex in exactly two facets
-            return -1, "four_facets"
+    if count_is(planes, universe, m - 1) == universe:
+        return (1 if m % 2 == 0 else -1), "codisjoint"
+    if m == 3 and not any(planes[1:]):
+        return 2, "three_facets"
+    if m == 4 and universe.bit_count() == 4 and count_is(planes, universe, 2) == universe:
+        return -1, "four_facets"
     return None
-
-
-def _count_planes(facets):
-    """Bit-sliced per-vertex incidence counters: planes[i] holds bit i of the
-    number of facets containing each vertex."""
-    planes = []
-    for f in facets:
-        carry = f
-        i = 0
-        while carry:
-            if i == len(planes):
-                planes.append(carry)
-                break
-            t = planes[i] & carry
-            planes[i] ^= carry
-            carry = t
-            i += 1
-    return planes
 
 
 def _argmax_mask(sel, planes):
@@ -306,7 +263,7 @@ def _bcrt_candidates(alive, facets):
     return alive & ~excl
 
 
-def _select_bcrt_masked(alive, facets, strategy, key):
+def _select_bcrt_masked(alive, facets, planes, strategy, key):
     cand = _bcrt_candidates(alive, facets)
     # if no candidate existed every comple{e} would be a facet, i.e. Δ is the
     # simplex boundary, which the co-disjoint base case already handled
@@ -315,7 +272,6 @@ def _select_bcrt_masked(alive, facets, strategy, key):
         choices = list(iter_bits(cand))
         e = choices[_draw(key, 11, len(choices))]
         return alive ^ (1 << e)
-    planes = _count_planes(facets)
     if strategy == "rarevar":
         return alive ^ (1 << _lowest(_argmax_mask(cand, planes)))
     ebit = 1 << _lowest(_argmin_mask(cand, planes))
@@ -331,7 +287,7 @@ def _select_bcrt_masked(alive, facets, strategy, key):
     return alive ^ ebit
 
 
-def _select_dbms_masked(alive, facets, strategy, key):
+def _select_dbms_masked(alive, facets, planes, strategy, key):
     m = len(facets)
     if strategy == "random":
         return _draw(key, 17, m)
@@ -339,7 +295,6 @@ def _select_dbms_masked(alive, facets, strategy, key):
         return min(range(m), key=lambda i: (facets[i].bit_count(), i))
     if strategy == "minsupp":  # largest facet
         return min(range(m), key=lambda i: (-facets[i].bit_count(), i))
-    planes = _count_planes(facets)
     if strategy == "popvar":
         # rare vertex (no constraint), then the first facet lacking it
         ebit = 1 << _lowest(_argmin_mask(alive, planes))
@@ -411,10 +366,7 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
     # adds them and files the sum, unsigned, in the table under tkey unless
     # tkey is None
     root = list(cx.facets)
-    alive = 0
-    for f in root:
-        alive |= f
-    todo = [(_NODE, _narrowed(alive, root)[1], _mix(cfg.seed & _M64), 1)]
+    todo = [(_NODE, _narrowed(reduce(or_, root, 0), root)[1], _mix(cfg.seed & _M64), 1)]
     vals = []
     table = {}  # insertion-ordered, so its first key is the oldest
     held = 0  # facets in the table's keys
@@ -440,11 +392,13 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
 
         _, facets, key, sign = item
         stats.nodes_expanded += 1
-        alive, facets, flip, elim = _simplify_masked(facets)
+        alive, facets, planes, flip, elim = _simplify_masked(facets)
         sign *= flip
         stats.abundant_eliminations += elim
 
-        alive, facets = _narrowed(alive, facets)
+        alive, packed = _narrowed(alive, facets)
+        if packed is not facets:  # re-packed: count on the new columns
+            facets, planes = packed, count_planes(packed)
 
         if len(facets) > _TABLE_KEY_FACETS:
             pair = _independent_pair_masked(alive, facets)
@@ -461,16 +415,15 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
         nu = alive.bit_count()
         if cfg.use_nerve and m >= 2 and nu >= 1 and (m > nu if dbms else nu > m):
             facets = _nerve_facets(facets)
-            alive = 0
-            for f in facets:
-                alive |= f
+            planes = count_planes(facets)
+            alive = reduce(or_, planes, 0)
             stats.nerve_applications += 1
             # the strict inequality guarantees the algorithm-sensitive
             # dimension drops, so nerves cannot alternate forever
             assert (len(facets) < m) if dbms else (alive.bit_length() < nu)
             m = len(facets)
 
-        bc = _base_case_masked(alive, facets)
+        bc = _base_case_masked(alive, facets, planes)
         if bc is not None:
             value, kind = bc
             hits[kind] = hits.get(kind, 0) + 1
@@ -491,13 +444,13 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
                 continue
         todo.append((_ADD, tkey, sign))
         if dbms:
-            idx = _select_dbms_masked(alive, facets, strategy, key)
+            idx = _select_dbms_masked(alive, facets, planes, strategy, key)
             rest, inner = _split_dbms_masked(facets, idx)
             assert len(rest) < m and len(inner) < m
             todo.append((_NODE, inner, _child_key(key, 1), -sign))
             todo.append((_NODE, rest, _child_key(key, 0), sign))
         else:
-            sigma = _select_bcrt_masked(alive, facets, strategy, key)
+            sigma = _select_bcrt_masked(alive, facets, planes, strategy, key)
             # termination needs σ ⊊ V and σ ∉ Δ: the deletion branch loses a
             # vertex and the union branch gains the new face σ
             assert sigma != alive and all(sigma & ~f for f in facets)
@@ -516,16 +469,19 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
 
 def simplify(cx: Complex):
     """Unused-vertex removal and abundant-vertex elimination to fixpoint.
-    Returns (complex, sign) with sign·χ̃(result) = χ̃(input)."""
-    alive, facets, sign, _ = _simplify_masked(list(cx.facets))
+    Returns (complex, sign) with sign·χ̃(result) = χ̃(input); a wide sparse
+    input is re-packed first, as in euler()."""
+    root = list(cx.facets)
+    alive, facets, _, sign, _ = _simplify_masked(_narrowed(reduce(or_, root, 0), root)[1])
     k, packed = compress_columns(alive, facets)
     return Complex(k, tuple(packed)), sign
 
 
 def try_base_case(cx: Complex) -> Optional[int]:
-    """χ̃ for the directly-solvable shapes, or None.  Assumes the complex has
-    been simplified (the 3/4-facet rules self-guard regardless)."""
-    bc = _base_case_masked(mask(cx.n), list(cx.facets))
+    """χ̃ for the directly-solvable shapes, or None.  The rules are exact
+    facet-count tests, so the complex need not be simplified first."""
+    planes = count_planes(cx.facets)
+    bc = _base_case_masked(reduce(or_, planes, 0), list(cx.facets), planes)
     return None if bc is None else bc[0]
 
 
@@ -534,14 +490,16 @@ def select_pivot_bcrt(cx: Complex, strategy: str, key: int = 0) -> int:
     deterministic randomness used by the random/popgcd strategies."""
     if strategy not in BCRT_PIVOTS:
         raise InputError(f"unknown bcrt strategy {strategy!r}")
-    return _select_bcrt_masked(mask(cx.n), list(cx.facets), strategy, _mix(key & _M64))
+    facets = list(cx.facets)
+    return _select_bcrt_masked(mask(cx.n), facets, count_planes(facets), strategy, _mix(key & _M64))
 
 
 def select_pivot_dbms(cx: Complex, strategy: str, key: int = 0) -> int:
     """Choose the index of the dbms pivot facet."""
     if strategy not in DBMS_PIVOTS:
         raise InputError(f"unknown dbms strategy {strategy!r}")
-    return _select_dbms_masked(mask(cx.n), list(cx.facets), strategy, _mix(key & _M64))
+    facets = list(cx.facets)
+    return _select_dbms_masked(mask(cx.n), facets, count_planes(facets), strategy, _mix(key & _M64))
 
 
 def split_bcrt(cx: Complex, sigma):

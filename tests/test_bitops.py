@@ -4,7 +4,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from eulerchar._bitops import compress_columns, iter_bits, transpose_rows
+from eulerchar._bitops import compress_columns, count_is, count_planes, iter_bits, transpose_rows
 
 # 4096/4097 straddle iter_bits' switch from shifts to a byte scan; 10,395 is
 # the facet count of match-11, whose nerve is the widest golden universe
@@ -25,6 +25,10 @@ def ref_compress(keep, sets):
     return len(positions), [
         sum(1 << j for j, p in enumerate(positions) if s >> p & 1) for s in sets
     ]
+
+
+def ref_counts(sets, width):
+    return [sum(s >> v & 1 for s in sets) for v in range(width)]
 
 
 def sparse_set(rng, width, density):
@@ -103,3 +107,38 @@ def test_many_sets_few_elements():
 )
 def test_kernels_match_definitions(keep, sets):
     check(keep, [s & ((1 << keep.bit_length()) - 1) for s in sets])
+
+
+def check_counts(sets, sel, width):
+    planes = count_planes(sets)
+    counts = ref_counts(sets, width)
+    assert len(planes) == max(counts, default=0).bit_length()
+    assert [sum((p >> v & 1) << i for i, p in enumerate(planes)) for v in range(width)] == counts
+    want = {}
+    for v in range(width):
+        if sel >> v & 1:
+            want[counts[v]] = want.get(counts[v], 0) | 1 << v
+    # up to twice the largest possible count: past every plane
+    for c in range(-1, 2 * len(sets) + 3):
+        assert count_is(planes, sel, c) == want.get(c, 0), c
+
+
+def test_count_kernels_edge_families():
+    # no sets, the family {∅}, and counts at zero and above every count
+    assert count_planes([]) == [] and count_planes([0]) == []
+    for sets in ([], [0], [0b11, 0b01], [0b110] * 5):
+        check_counts(sets, 0b1111, 4)
+    assert count_is([], 0b101, 0) == 0b101 and count_is([], 0b101, 1) == 0
+    planes = count_planes([0b11, 0b01, 0b01])  # counts 3 and 1
+    assert (count_is(planes, 0b11, 3), count_is(planes, 0b11, 2)) == (0b01, 0)
+    # vertex 2 lies in no set, so reading only the low bits of c would keep it
+    assert count_is(planes, 0b111, 4) == count_is(planes, 0b111, 1 << 40) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sets=st.lists(st.integers(min_value=0, max_value=(1 << 70) - 1), max_size=40),
+    sel=st.integers(min_value=0, max_value=(1 << 70) - 1),
+)
+def test_count_kernels_match_definitions(sets, sel):
+    check_counts(sets, sel, 70)

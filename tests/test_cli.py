@@ -305,21 +305,24 @@ def test_wide_sparse_document_stays_small(tmp_path):
 
 def test_wide_sparse_root_is_narrowed_before_simplify(monkeypatch):
     # the root's facets are re-packed onto their 1,281 live vertices before
-    # the first simplify, so no node does mask arithmetic on 2 MB ints
-    from eulerchar import EngineConfig, engine, euler
+    # the first simplify, so no node does mask arithmetic on 2 MB ints; the
+    # public simplify() re-packs its input the same way
+    from eulerchar import EngineConfig, engine, euler, simplify
 
     cx = parse_complex(wide_sparse_document())
     widths = []
-    simplify = engine._simplify_masked
+    simplify_masked = engine._simplify_masked
 
     def recording(facets):
         widths.append(max((f.bit_length() for f in facets), default=0))
-        return simplify(facets)
+        return simplify_masked(facets)
 
     monkeypatch.setattr(engine, "_simplify_masked", recording)
     for alg, nodes in (("dbms", 1021), ("bcrt", 1019)):
         value, stats = euler(cx, EngineConfig(algorithm=alg))
         assert (value, stats.nodes_expanded) == (511, nodes), alg
+    out, sign = simplify(cx)
+    assert sign * euler(out)[0] == 511
     assert max(widths) < 4096
 
 
@@ -343,3 +346,33 @@ def test_pipe_gen_to_euler():
     from eulerchar import euler_by_subsets, gen_matching
 
     assert int(ev.stdout.strip()) == euler_by_subsets(gen_matching(6))
+
+
+# --- bench/benchmark.py arguments ----------------------------------------------
+
+
+def test_benchmark_rejects_bad_arguments(capsys):
+    # each used to end in a traceback or print only the header row
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "bench" / "benchmark.py"
+    spec = importlib.util.spec_from_file_location("benchmark", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    for argv in (
+        ["--repeat", "0"],
+        ["--pivots", "nope"],
+        ["--algorithms", "bcrt", "--pivots", "raremax"],
+        ["--algorithms", "oracle"],
+        ["--instances", "torus:3"],
+        ["--instances", "match:3000"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            bench.main(["--instances", "match:4", *argv])
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err, argv
+    assert bench.main(["--instances", "match:4", "--pivots", "raremax", "--repeat", "1"]) == 0
+    lines = capsys.readouterr()[0].splitlines()
+    assert len(lines) == 2 and "dbms/raremax" in lines[1]

@@ -112,6 +112,13 @@ def test_base_case_order_and_misses():
     assert try_base_case(cx(3, {0, 1}, {0, 2}, {1, 2})) == -1
     # path complex: not a cone, not co-disjoint, no small-m rule applies
     assert try_base_case(cx(4, {0, 1}, {1, 2}, {2, 3})) is None
+    # four facets, every vertex in two of them, over 5 or 6 vertices: blown-up
+    # K4 minus an edge (χ̃ = -2) and K4 (χ̃ = -3), not the 4-cycle's -1
+    for edges in ("01 02 03 12 13", "01 02 03 12 13 23"):
+        pairs = edges.split()
+        c = cx(len(pairs), *[{v for v, p in enumerate(pairs) if str(i) in p} for i in range(4)])
+        assert try_base_case(c) is None
+        assert euler(c)[0] == euler_by_subsets(c) == 3 - len(pairs)
 
 
 def test_base_case_values_match_oracle(rng):
@@ -312,6 +319,43 @@ def test_counters_keep_their_five_keys():
         "abundant_eliminations",
         "independence_splits",
     }
+
+
+# (spec, algorithm, χ̃, nodes, eliminations, nerves, base-case hits, table
+# hits, evictions) under the algorithm's default pivot, with no independence
+# split anywhere: a change to the node pipeline that keeps every value but
+# changes the search shows here first
+PINNED_SEARCHES = [
+    ("rook:6,6", "dbms", 185, 2925, 1306, 79,
+     {"cone": 1113, "empty_face": 251, "four_facets": 23, "three_facets": 2}, 74, 0),
+    ("rook:6,6", "bcrt", 185, 1247, 911, 284,
+     {"cone": 235, "empty_face": 81, "four_facets": 58, "three_facets": 1}, 249, 0),
+    ("match:10", "dbms", -1216, 3547, 893, 1,
+     {"cone": 859, "empty_face": 472, "three_facets": 443}, 0, 35),
+    ("match:10", "bcrt", -1216, 1809, 1309, 295,
+     {"cone": 254, "empty_face": 259, "four_facets": 8, "three_facets": 166}, 218, 0),
+    ("nicgraph:7,2", "dbms", -120, 1429, 1916, 9,
+     {"cone": 545, "empty_face": 117, "four_facets": 16, "three_facets": 23}, 14, 0),
+    ("nicgraph:7,2", "bcrt", -120, 2913, 5403, 279,
+     {"cone": 883, "empty_face": 256, "four_facets": 128, "three_facets": 41}, 149, 490),
+    ("match:11", "dbms", -936, 2333, 789, 1,
+     {"cone": 757, "empty_face": 246, "three_facets": 85}, 79, 0),
+]
+
+
+@pytest.mark.parametrize("row", PINNED_SEARCHES, ids=lambda r: f"{r[0]}-{r[1]}")
+def test_search_is_pinned(row):
+    spec, alg, want, nodes, elims, nerves, kinds, hits, evictions = row
+    value, stats = euler(generate(parse_spec(spec)), EngineConfig(algorithm=alg))
+    assert value == want
+    assert stats.counters() == {
+        "nodes_expanded": nodes,
+        "base_case_hits": kinds,
+        "nerve_applications": nerves,
+        "abundant_eliminations": elims,
+        "independence_splits": 0,
+    }
+    assert (stats.cache_hits, stats.cache_evictions) == (hits, evictions)
 
 
 def test_engine_counts_base_case_kinds():

@@ -3,7 +3,7 @@
 No oracle reaches these sizes, so every value is checked against relations
 that must hold between runs: both algorithms under every pivot strategy,
 nerve on and off, a vertex relabelling, the nerve, the negation gadget and
-the join product.  The join is where both algorithms hit the subproblem
+the join product, and against the alternating sum of the face counts.  The join is where both algorithms hit the subproblem
 table; a wrong table key gives wrong values only on complexes this large,
 which is what this suite is for.
 
@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from eulerchar import EngineConfig, engine, euler, make_complex
+from eulerchar import EngineConfig, engine, euler, f_vector, make_complex
 from eulerchar._bitops import iter_bits
 from eulerchar.core import join, nerve
 from eulerchar.engine import BCRT_PIVOTS, DBMS_PIVOTS
@@ -71,6 +71,8 @@ def test_relations_agree_above_oracle_range(seed, monkeypatch):
     rng = random.Random(seed)
     cx = sparse_complex(rng, (30, 60), (20, 100))
     want = value(cx)
+    # at most 100 facets of at most 6 vertices: at most 6,400 faces to count
+    assert f_vector(cx).euler == want
 
     for nv in (True, False):
         for cfg in all_configs(seed, use_nerve=nv):
