@@ -3,9 +3,9 @@
 A face / vertex set is a plain Python int used as a bit vector (bit i =
 element i).  CPython big ints already execute the word-level boolean ops in
 C, so these kernels keep the Python-level loop counts low: maximal_sets
-switches to a transposed incidence view for large batches, wide ints are
-scanned through bytes, and compress_columns gathers bits from a set's binary
-string, where bit p is the character p places from the right.
+switches to a transposed incidence view for large batches, iter_bits scans
+an int byte by byte through a table, and compress_columns gathers bits from a
+set's binary string, where bit p is the character p places from the right.
 """
 
 from operator import itemgetter
@@ -14,8 +14,6 @@ _BYTE_BITS = [tuple(b for b in range(8) if (v >> b) & 1) for v in range(256)]
 
 # batches larger than this use the transposed dominator check in maximal_sets
 _LARGE_BATCH = 512
-# ints wider than this are iterated via to_bytes instead of bit twiddling
-_WIDE_BITS = 4096
 
 
 def mask(n):
@@ -25,19 +23,13 @@ def mask(n):
 
 def iter_bits(x):
     """Yield the set bit positions of x in ascending order."""
-    if x.bit_length() > _WIDE_BITS:
-        bb = _BYTE_BITS
-        base = 0
-        for byte in x.to_bytes((x.bit_length() + 7) >> 3, "little"):
-            if byte:
-                for b in bb[byte]:
-                    yield base + b
-            base += 8
-        return
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
+    bb = _BYTE_BITS
+    base = 0
+    for byte in x.to_bytes((x.bit_length() + 7) >> 3, "little"):
+        if byte:
+            for b in bb[byte]:
+                yield base + b
+        base += 8
 
 
 def transpose_rows(sets):
@@ -62,13 +54,9 @@ def maximal_sets(sets):
     Duplicates are dropped.  Result is sorted ascending as integers, so the
     output order is canonical regardless of input order.
     """
-    if not sets:
-        return []
     uniq = set(sets)
-    if len(uniq) == 1:
-        return list(uniq)
     sizes = {s: s.bit_count() for s in uniq}
-    if len(set(sizes.values())) == 1:
+    if len(set(sizes.values())) <= 1:
         # equal-cardinality distinct sets are pairwise incomparable
         return sorted(uniq)
     order = sorted(uniq, key=lambda s: (-sizes[s], s))

@@ -36,7 +36,10 @@ def as_face(n: int, face: FaceLike) -> int:
 
 @dataclass(frozen=True)
 class Complex:
-    """A simplicial complex: universe size plus the antichain of facets."""
+    """A simplicial complex: universe size plus the antichain of facets.
+
+    Unchecked: the facets must be distinct, pairwise incomparable bitmasks
+    below 1 << n, or χ̃ comes out wrong; make_complex is the checked form."""
 
     n: int
     facets: tuple

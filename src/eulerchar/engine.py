@@ -7,12 +7,12 @@ Two algorithms over the same node pipeline:
 * dbms: split on a facet σ:  χ̃(D) = χ̃(Δ) - χ̃(Δ⊖∁σ)  with
           Δ = closure(facets∖{σ})
 
-Every node is simplified first: unused vertices are dropped, and each pass
-eliminates all of its abundant vertices in one batch, with one sign flip per
-missing facet and one maximal_sets (see _simplify_masked for why that equals
-eliminating them one at a time).  A node whose stored width far exceeds its
-live vertex count is then re-packed onto those vertices (the root before its
-first simplify, too).  It is split into independent factors Δ_A ⊕ Δ_B (whose
+Every node (the root, split children and join factors alike) is re-packed on
+entry onto its live vertices if its stored width far exceeds their count.  It
+is then simplified: unused vertices are dropped, and each pass eliminates all
+of its abundant vertices in one batch, with one sign flip per missing facet
+and one maximal_sets (see _simplify_masked for why that equals eliminating
+them one at a time).  It is split into independent factors Δ_A ⊕ Δ_B (whose
 χ̃ multiply) if it is too large for the table below, possibly replaced by
 its nerve, and finally matched against the base cases before a pivot split.
 
@@ -196,14 +196,15 @@ def _simplify_masked(facets):
         elim += k
 
 
-def _narrowed(alive, facets):
-    """(alive, facets), re-packed onto alive's vertices when the stored width
-    is much larger than the live vertex count."""
-    width = alive.bit_length()
-    if width > _COMPRESS_MIN_WIDTH and _COMPRESS_RATIO * alive.bit_count() < width:
-        k, facets = compress_columns(alive, facets)
-        alive = mask(k)
-    return alive, facets
+def _narrowed(facets):
+    """facets, re-packed onto their union's vertices when the stored width
+    (that of the largest facet) is much larger than the live vertex count."""
+    width = max(facets, default=0).bit_length()
+    if width > _COMPRESS_MIN_WIDTH:
+        alive = reduce(or_, facets, 0)
+        if _COMPRESS_RATIO * alive.bit_count() < width:
+            facets = compress_columns(alive, facets)[1]
+    return facets
 
 
 def _base_case_masked(universe, facets, planes):
@@ -292,9 +293,9 @@ def _select_dbms_masked(alive, facets, planes, strategy, key):
     if strategy == "random":
         return _draw(key, 17, m)
     if strategy == "maxsupp":  # smallest facet (algebraic names are mirrored)
-        return min(range(m), key=lambda i: (facets[i].bit_count(), i))
+        return min(range(m), key=lambda i: facets[i].bit_count())
     if strategy == "minsupp":  # largest facet
-        return min(range(m), key=lambda i: (-facets[i].bit_count(), i))
+        return min(range(m), key=lambda i: -facets[i].bit_count())
     if strategy == "popvar":
         # rare vertex (no constraint), then the first facet lacking it
         ebit = 1 << _lowest(_argmin_mask(alive, planes))
@@ -309,25 +310,17 @@ def _select_dbms_masked(alive, facets, planes, strategy, key):
         lacking = [i for i, f in enumerate(facets) if not f & ebit]
         if strategy == "rarevar":
             return lacking[0]
-        return min(lacking, key=lambda i: (facets[i].bit_count(), i))
-    # rarest: rank facets by how many top-popularity vertices they lack,
-    # breaking ties with the next popularity level down
-    remaining = list(range(m))
-    level_sel = cand
-    while len(remaining) > 1 and level_sel:
-        lev = _argmax_mask(level_sel, planes)
-        best = -1
-        keep = []
-        for i in remaining:
-            lacked = (lev & ~facets[i]).bit_count()
-            if lacked > best:
-                best = lacked
-                keep = [i]
-            elif lacked == best:
-                keep.append(i)
-        remaining = keep
-        level_sel &= ~lev
-    return remaining[0]
+        return min(lacking, key=lambda i: facets[i].bit_count())
+    # rarest: fewest top-popularity vertices held, ties broken level by level
+    # down, then by index; stopping early is 2.3x faster than a lexicographic max
+    best = range(m)
+    while len(best) > 1 and cand:
+        lev = _argmax_mask(cand, planes)
+        cand &= ~lev
+        held = [(lev & facets[i]).bit_count() for i in best]
+        low = min(held)
+        best = [i for i, c in zip(best, held) if c == low]
+    return best[0]
 
 
 def _split_dbms_masked(facets, idx):
@@ -365,8 +358,7 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
     # _MUL multiplies the top two values on the stack, and (_ADD, tkey, sign)
     # adds them and files the sum, unsigned, in the table under tkey unless
     # tkey is None
-    root = list(cx.facets)
-    todo = [(_NODE, _narrowed(reduce(or_, root, 0), root)[1], _mix(cfg.seed & _M64), 1)]
+    todo = [(_NODE, list(cx.facets), _mix(cfg.seed & _M64), 1)]
     vals = []
     table = {}  # insertion-ordered, so its first key is the oldest
     held = 0  # facets in the table's keys
@@ -392,13 +384,9 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
 
         _, facets, key, sign = item
         stats.nodes_expanded += 1
-        alive, facets, planes, flip, elim = _simplify_masked(facets)
+        alive, facets, planes, flip, elim = _simplify_masked(_narrowed(facets))
         sign *= flip
         stats.abundant_eliminations += elim
-
-        alive, packed = _narrowed(alive, facets)
-        if packed is not facets:  # re-packed: count on the new columns
-            facets, planes = packed, count_planes(packed)
 
         if len(facets) > _TABLE_KEY_FACETS:
             pair = _independent_pair_masked(alive, facets)
@@ -413,7 +401,7 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
 
         m = len(facets)
         nu = alive.bit_count()
-        if cfg.use_nerve and m >= 2 and nu >= 1 and (m > nu if dbms else nu > m):
+        if cfg.use_nerve and m >= 2 and (m > nu if dbms else nu > m):
             facets = _nerve_facets(facets)
             planes = count_planes(facets)
             alive = reduce(or_, planes, 0)
@@ -470,9 +458,8 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
 def simplify(cx: Complex):
     """Unused-vertex removal and abundant-vertex elimination to fixpoint.
     Returns (complex, sign) with sign·χ̃(result) = χ̃(input); a wide sparse
-    input is re-packed first, as in euler()."""
-    root = list(cx.facets)
-    alive, facets, _, sign, _ = _simplify_masked(_narrowed(reduce(or_, root, 0), root)[1])
+    input is re-packed first, as every node is in euler()."""
+    alive, facets, _, sign, _ = _simplify_masked(_narrowed(cx.facets))
     k, packed = compress_columns(alive, facets)
     return Complex(k, tuple(packed)), sign
 

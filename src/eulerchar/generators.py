@@ -13,9 +13,12 @@ from operator import mul
 from typing import Optional
 
 from .core import Complex, make_complex
+from .docio import MAX_UNIVERSE
 from .errors import CapacityError, InputError
 
 DEFAULT_FACET_LIMIT = 2_000_000
+# gen_random's acceptance loop is quadratic: 10,000 facets take about 11 s
+RANDOM_FACET_LIMIT = 10_000
 FAMILIES = ("random", "rook", "match", "nicgraph")
 
 
@@ -79,6 +82,13 @@ def gen_random(n: int, m: int, seed: int) -> Complex:
     probability 1/2 and is rejected if comparable to an accepted facet."""
     if n < 1 or m < 1:
         raise InputError("gen_random requires n >= 1 and m >= 1")
+    if n > MAX_UNIVERSE:
+        raise CapacityError(f"gen_random({n},{m}) exceeds the limit of {MAX_UNIVERSE} vertices")
+    if m > RANDOM_FACET_LIMIT:
+        raise CapacityError(f"gen_random({n},{m}) exceeds {RANDOM_FACET_LIMIT} facets")
+    # Sperner's bound C(n, n//2) on an antichain passes the limit from n = 16 on
+    if n < 16 and m > math.comb(n, n // 2):
+        raise CapacityError(f"gen_random({n},{m}): no antichain on {n} vertices has {m} sets")
     rng = random.Random(seed)
     accepted = []
     rejections = 0

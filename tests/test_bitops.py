@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from eulerchar._bitops import compress_columns, count_is, count_planes, iter_bits, transpose_rows
 
-# 4096/4097 straddle iter_bits' switch from shifts to a byte scan; 10,395 is
-# the facet count of match-11, whose nerve is the widest golden universe
-WIDTHS = (1, 63, 64, 65, 720, 4096, 4097, 10395)
+# iter_bits scans every width byte by byte; the widths straddle a byte
+# (7/8/9), a 64-bit word (63/64/65) and 4,096 bits, and 10,395 is the facet
+# count of match-11, whose nerve is the widest golden universe
+WIDTHS = (1, 7, 8, 9, 63, 64, 65, 720, 4096, 4097, 10395)
 
 
 def ref_bits(x):

@@ -265,7 +265,13 @@ def test_oversized_outputs_exit_2(tmp_path, capsys):
     facet.write_text("vertices 1500\n" + " ".join(map(str, range(1500))) + "\n")
     code, _, err = _run(capsys, "fvector", str(facet))
     assert code == 2 and err.startswith("error: "), err
-    for spec in ("match:3000", "nicgraph:40,2"):
+    for spec in (
+        "match:3000",
+        "nicgraph:40,2",
+        "random:1,100000",
+        "random:40,200000",
+        "random:16777217,1",
+    ):
         code, _, err = _run(capsys, "gen", spec)
         assert code == 2 and err.startswith("error: "), (spec, err)
 
@@ -304,9 +310,9 @@ def test_wide_sparse_document_stays_small(tmp_path):
 
 
 def test_wide_sparse_root_is_narrowed_before_simplify(monkeypatch):
-    # the root's facets are re-packed onto their 1,281 live vertices before
-    # the first simplify, so no node does mask arithmetic on 2 MB ints; the
-    # public simplify() re-packs its input the same way
+    # every node's facets are re-packed onto their live vertices on entry,
+    # the root onto its 1,281, so no simplify does mask arithmetic on 2 MB
+    # ints; the public simplify() re-packs its input the same way
     from eulerchar import EngineConfig, engine, euler, simplify
 
     cx = parse_complex(wide_sparse_document())
@@ -348,18 +354,23 @@ def test_pipe_gen_to_euler():
     assert int(ev.stdout.strip()) == euler_by_subsets(gen_matching(6))
 
 
-# --- bench/benchmark.py arguments ----------------------------------------------
+# --- scripts outside the package -----------------------------------------------
+
+
+def _load_script(directory, name):
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / directory / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_benchmark_rejects_bad_arguments(capsys):
     # each used to end in a traceback or print only the header row
-    import importlib.util
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parent.parent / "bench" / "benchmark.py"
-    spec = importlib.util.spec_from_file_location("benchmark", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = _load_script("bench", "benchmark")
     for argv in (
         ["--repeat", "0"],
         ["--pivots", "nope"],
@@ -376,3 +387,15 @@ def test_benchmark_rejects_bad_arguments(capsys):
     assert bench.main(["--instances", "match:4", "--pivots", "raremax", "--repeat", "1"]) == 0
     lines = capsys.readouterr()[0].splitlines()
     assert len(lines) == 2 and "dbms/raremax" in lines[1]
+
+
+def test_perfbench_traced_names_resolve():
+    # perfbench's tracer wraps these package functions by name, so renaming
+    # one fails here and not only when the benchmark runs
+    import importlib
+
+    for module, attr, _ in _load_script("perfbench", "tracing").TARGETS:
+        owner = importlib.import_module(f"eulerchar.{module}")
+        for part in attr.split("."):
+            owner = vars(owner)[part]
+        assert callable(owner), (module, attr)

@@ -322,9 +322,9 @@ def test_counters_keep_their_five_keys():
 
 
 # (spec, algorithm, χ̃, nodes, eliminations, nerves, base-case hits, table
-# hits, evictions) under the algorithm's default pivot, with no independence
-# split anywhere: a change to the node pipeline that keeps every value but
-# changes the search shows here first
+# hits, evictions) under the algorithm's default pivot, or the one named
+# after a slash, with no independence split anywhere: a change to the node
+# pipeline that keeps every value but changes the search shows here first
 PINNED_SEARCHES = [
     ("rook:6,6", "dbms", 185, 2925, 1306, 79,
      {"cone": 1113, "empty_face": 251, "four_facets": 23, "three_facets": 2}, 74, 0),
@@ -340,13 +340,17 @@ PINNED_SEARCHES = [
      {"cone": 883, "empty_face": 256, "four_facets": 128, "three_facets": 41}, 149, 490),
     ("match:11", "dbms", -936, 2333, 789, 1,
      {"cone": 757, "empty_face": 246, "three_facets": 85}, 79, 0),
+    ("rook:6,6", "dbms/rarest", 185, 2971, 1202, 51,
+     {"cone": 1066, "empty_face": 255, "four_facets": 118, "three_facets": 2}, 45, 0),
 ]
 
 
 @pytest.mark.parametrize("row", PINNED_SEARCHES, ids=lambda r: f"{r[0]}-{r[1]}")
 def test_search_is_pinned(row):
     spec, alg, want, nodes, elims, nerves, kinds, hits, evictions = row
-    value, stats = euler(generate(parse_spec(spec)), EngineConfig(algorithm=alg))
+    alg, _, pivot = alg.partition("/")
+    cfg = EngineConfig(algorithm=alg, pivot=pivot or None)
+    value, stats = euler(generate(parse_spec(spec)), cfg)
     assert value == want
     assert stats.counters() == {
         "nodes_expanded": nodes,

@@ -58,9 +58,15 @@ def test_gen_random_single_vertex():
 
 
 def test_gen_random_saturates():
-    # one vertex admits only one facet, a second can never be accepted
-    with pytest.raises(CapacityError):
-        gen_random(1, 2, 0)
+    # one vertex admits only one facet, and C(4, 2) = 6 sets is the largest
+    # antichain on 4 vertices (Sperner): both are refused before sampling.
+    # Six facets on 4 vertices fit, but seed 0 draws facets that no
+    # 6-antichain extends, so sampling gives up.
+    for n, m in ((1, 2), (4, 7)):
+        with pytest.raises(CapacityError, match="no antichain"):
+            gen_random(n, m, 0)
+    with pytest.raises(CapacityError, match="saturated"):
+        gen_random(4, 6, 0)
 
 
 # --- rook -------------------------------------------------------------------
