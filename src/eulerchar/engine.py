@@ -14,7 +14,10 @@ of its abundant vertices in one batch, with one sign flip per missing facet
 and one maximal_sets (see _simplify_masked for why that equals eliminating
 them one at a time).  It is split into independent factors Δ_A ⊕ Δ_B (whose
 χ̃ multiply) if it is too large for the table below, possibly replaced by
-its nerve, and finally matched against the base cases before a pivot split.
+its nerve, and matched against the base cases.  A node of at most
+_LEAF_FACETS facets that is left is a leaf: its χ̃ is summed in one pass over
+its facet intersections (_lattice_masked), the complements of the lcms in the
+paper's inclusion-exclusion.  Any other node goes on to a pivot split.
 
 A node small enough for the table (at most _TABLE_KEY_FACETS facets) that
 reaches its pivot split is first looked up in a subproblem table that lives
@@ -65,6 +68,14 @@ _TABLE_KEY_FACETS = 64
 # would pass it evicts the oldest entries first (deterministic, so the
 # counters repeat from run to run)
 _TABLE_FACETS = 1 << 14
+# A node of at most _LEAF_FACETS facets that no base case solves is solved in
+# one pass over its facet intersections (_lattice_masked) instead of by pivot
+# splits.  That pass keeps at most 2^m distinct intersections, so a leaf's cost
+# stays bounded; merged by equal intersection the leaves keep a median of 13
+# (match-10, rook-6-6 under bcrt) to 21 (nicgraph-7-2 under bcrt), and 33 on
+# random:40,45.  At 12, random-antichain wall fell further (1.85 -> 1.62
+# reference s) but gadgets' median instance rose 0.021 -> 0.024 s, so 8 it is.
+_LEAF_FACETS = 8
 
 _M64 = (1 << 64) - 1
 
@@ -231,6 +242,27 @@ def _base_case_masked(universe, facets, planes):
     if m == 4 and universe.bit_count() == 4 and count_is(planes, universe, 2) == universe:
         return -1, "four_facets"
     return None
+
+
+def _lattice_masked(alive, facets):
+    """χ̃ of a non-void complex from its facet intersections; alive is the
+    union of the facets.  Cost and memory grow with the number of distinct
+    intersections, at most 2^m.
+
+    χ̃ = Σ (-1)^|S| over the non-empty facet subsets S whose intersection is
+    empty.  The sum over all S is 0, so this is minus the sum over the S
+    whose intersection is not empty; coef holds those sums grouped by
+    intersection, the empty S under alive.  An empty intersection stays
+    empty in every extension, so it is dropped.  (For {∅}, alive is 0 and
+    coef keeps only the empty S: χ̃ = -1.)
+    """
+    coef = {alive: 1}
+    for f in facets:
+        for x, c in list(coef.items()):
+            x &= f
+            if x:
+                coef[x] = coef.get(x, 0) - c
+    return -sum(coef.values())
 
 
 def _argmax_mask(sel, planes):
@@ -416,6 +448,10 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
             value, kind = bc
             hits[kind] = hits.get(kind, 0) + 1
             vals.append(value * sign)
+            continue
+        if m <= _LEAF_FACETS:
+            hits["lattice"] = hits.get("lattice", 0) + 1
+            vals.append(_lattice_masked(alive, facets) * sign)
             continue
 
         # the facet tuple determines the complex exactly, and the facets are

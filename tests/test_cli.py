@@ -324,7 +324,7 @@ def test_wide_sparse_root_is_narrowed_before_simplify(monkeypatch):
         return simplify_masked(facets)
 
     monkeypatch.setattr(engine, "_simplify_masked", recording)
-    for alg, nodes in (("dbms", 1021), ("bcrt", 1019)):
+    for alg, nodes in (("dbms", 1011), ("bcrt", 1009)):
         value, stats = euler(cx, EngineConfig(algorithm=alg))
         assert (value, stats.nodes_expanded) == (511, nodes), alg
     out, sign = simplify(cx)

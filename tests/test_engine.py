@@ -1,3 +1,6 @@
+from functools import reduce
+from operator import or_
+
 import pytest
 
 from eulerchar import (
@@ -280,6 +283,48 @@ def test_engine_allocates_nothing_universe_sized():
     assert peak < 1 << 20
 
 
+# --- small-node leaf -------------------------------------------------------------
+
+
+def lattice(c):
+    return engine._lattice_masked(reduce(or_, c.facets, 0), list(c.facets))
+
+
+def test_lattice_leaf_matches_oracle_exhaustive():
+    checked = 0
+    for c in all_complexes(4):
+        if 1 <= c.num_facets <= 8:
+            assert lattice(c) == euler_by_subsets(c), c
+            checked += 1
+    assert checked > 150
+
+
+def test_lattice_leaf_matches_oracle_random(rng):
+    for _ in range(500):
+        c = random_complex(rng, 12, 8)
+        assert lattice(c) == euler_by_subsets(c), c
+
+
+def test_lattice_leaf_changes_no_value(rng, monkeypatch):
+    # the same complexes solved with the leaf and, with _LEAF_FACETS at 0, by
+    # pivot splits down to the base cases alone; 6-30 facets of 2-6 vertices,
+    # so most reach the leaf only after splits
+    cases = []
+    for _ in range(200):
+        n = rng.randint(8, 20)
+        facets = [rng.sample(range(n), rng.randint(2, 6)) for _ in range(rng.randint(6, 30))]
+        cases.append(make_complex(n, facets))
+    configs = [cfg for cfg in all_configs() if cfg.use_nerve]
+    with_leaf = [[euler(c, cfg) for cfg in configs] for c in cases]
+    assert any(s.base_case_hits.get("lattice") for row in with_leaf for _, s in row)
+    monkeypatch.setattr(engine, "_LEAF_FACETS", 0)
+    for c, row in zip(cases, with_leaf):
+        for cfg, (want, _) in zip(configs, row):
+            value, stats = euler(c, cfg)
+            assert value == want, (c, cfg)
+            assert "lattice" not in stats.base_case_hits
+
+
 # --- subproblem table ----------------------------------------------------------
 
 
@@ -326,22 +371,22 @@ def test_counters_keep_their_five_keys():
 # after a slash, with no independence split anywhere: a change to the node
 # pipeline that keeps every value but changes the search shows here first
 PINNED_SEARCHES = [
-    ("rook:6,6", "dbms", 185, 2925, 1306, 79,
-     {"cone": 1113, "empty_face": 251, "four_facets": 23, "three_facets": 2}, 74, 0),
-    ("rook:6,6", "bcrt", 185, 1247, 911, 284,
-     {"cone": 235, "empty_face": 81, "four_facets": 58, "three_facets": 1}, 249, 0),
-    ("match:10", "dbms", -1216, 3547, 893, 1,
-     {"cone": 859, "empty_face": 472, "three_facets": 443}, 0, 35),
-    ("match:10", "bcrt", -1216, 1809, 1309, 295,
-     {"cone": 254, "empty_face": 259, "four_facets": 8, "three_facets": 166}, 218, 0),
-    ("nicgraph:7,2", "dbms", -120, 1429, 1916, 9,
-     {"cone": 545, "empty_face": 117, "four_facets": 16, "three_facets": 23}, 14, 0),
-    ("nicgraph:7,2", "bcrt", -120, 2913, 5403, 279,
-     {"cone": 883, "empty_face": 256, "four_facets": 128, "three_facets": 41}, 149, 490),
-    ("match:11", "dbms", -936, 2333, 789, 1,
-     {"cone": 757, "empty_face": 246, "three_facets": 85}, 79, 0),
-    ("rook:6,6", "dbms/rarest", 185, 2971, 1202, 51,
-     {"cone": 1066, "empty_face": 255, "four_facets": 118, "three_facets": 2}, 45, 0),
+    ("rook:6,6", "dbms", 185, 1087, 31, 79,
+     {"cone": 26, "empty_face": 2, "four_facets": 23, "lattice": 493}, 0, 0),
+    ("rook:6,6", "bcrt", 185, 955, 632, 180,
+     {"cone": 163, "four_facets": 26, "lattice": 194, "three_facets": 1}, 94, 0),
+    ("match:10", "dbms", -1216, 1539, 62, 1,
+     {"cone": 22, "empty_face": 42, "lattice": 340, "three_facets": 366}, 0, 0),
+    ("match:10", "bcrt", -1216, 1223, 748, 215,
+     {"cone": 72, "empty_face": 77, "four_facets": 1, "lattice": 227, "three_facets": 163}, 72, 0),
+    ("nicgraph:7,2", "dbms", -120, 1055, 1322, 9,
+     {"cone": 360, "empty_face": 50, "four_facets": 2, "lattice": 110, "three_facets": 3}, 3, 0),
+    ("nicgraph:7,2", "bcrt", -120, 2563, 4661, 257,
+     {"cone": 802, "empty_face": 83, "four_facets": 97, "lattice": 262, "three_facets": 7}, 31, 394),
+    ("match:11", "dbms", -936, 901, 70, 1,
+     {"cone": 29, "empty_face": 28, "lattice": 288, "three_facets": 70}, 36, 0),
+    ("rook:6,6", "dbms/rarest", 185, 995, 10, 51,
+     {"cone": 11, "four_facets": 86, "lattice": 401}, 0, 0),
 ]
 
 

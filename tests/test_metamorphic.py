@@ -13,8 +13,11 @@ counter in sharpsat.py counts F.  The dense complexes of 25-40 variable
 3-CNFs (180-288 vertices) are where abundant-vertex elimination does most of
 its work.
 
-Time budget: about 20 s on 2 cores in all, of which the #SAT cases take
-about 10 s (4.6 s for the 40-variable one).
+Dense complexes (60-80 vertices, facets of about half of them) check
+dbms = bcrt and the nerve with the engine's own nerve step off.
+
+Time budget: about 22 s on 2 cores in all, of which the #SAT cases take
+about 10 s (4.6 s for the 40-variable one) and the dense ones about 1.5 s.
 """
 
 import random
@@ -36,6 +39,7 @@ from eulerchar.reductions import (
 from sharpsat import count_models
 
 SEEDS = range(24)
+DENSE_SEEDS = range(12)
 # (variables, seed) of 3-CNFs at clause ratio 4.2; these seeds give formulas
 # with 1-333 models, since an unsatisfiable one only checks χ̃ = 0
 SAT_CASES = [(25, 0), (25, 2), (30, 1), (30, 2), (35, 0), (40, 0)]
@@ -48,6 +52,15 @@ def sparse_complex(rng, n_range, m_range):
     n = rng.randint(*n_range)
     m = rng.randint(*m_range)
     return make_complex(n, [rng.sample(range(n), rng.randint(2, 6)) for _ in range(m)])
+
+
+def dense_complex(rng):
+    # 60-80 vertices and 10-30 facets of about n/2 vertices: far from the
+    # sparse cases above, with many abundant vertices and wide leaves
+    n = rng.randint(60, 80)
+    return make_complex(
+        n, [rng.sample(range(n), n // 2 + rng.randint(-3, 3)) for _ in range(rng.randint(10, 30))]
+    )
 
 
 def relabel(cx, rng):
@@ -97,6 +110,17 @@ def test_relations_agree_above_oracle_range(seed, monkeypatch):
         assert got == want * k, (seed, k, cfg)
         hits[cfg.algorithm] += stats.cache_hits
     assert hits["dbms"] > 0 and hits["bcrt"] > 0, hits
+
+
+@pytest.mark.parametrize("seed", DENSE_SEEDS)
+def test_dense_relations_agree(seed):
+    cx = dense_complex(random.Random(seed))
+    want = value(cx)
+    assert value(cx, algorithm="bcrt") == want, seed
+    # with the nerve step off the engine cannot turn the nerve back
+    nv = nerve(cx)
+    for alg in ("dbms", "bcrt"):
+        assert value(nv, algorithm=alg, use_nerve=False) == want, (seed, alg)
 
 
 def random_3cnf(num_vars, seed, ratio=4.2):
