@@ -73,7 +73,7 @@ def main(argv=None):
     ap.add_argument(
         "--pivots",
         default=None,
-        help="comma list, or 'default' for each algorithm's default; default = all per algorithm",
+        help="comma list ('default' = the algorithm's default pivot); default = all per algorithm",
     )
     ap.add_argument("--repeat", type=int, default=3)
     ap.add_argument("--nerve", choices=["on", "off"], default="on")
@@ -104,10 +104,11 @@ def main(argv=None):
     for spec_text, cx in instances:
         for alg in algorithms:
             all_pivots = BCRT_PIVOTS if alg == "bcrt" else DBMS_PIVOTS
-            if pivot_names == ["default"]:
-                pivots = [DEFAULT_PIVOT[alg]]
+            if pivot_names:
+                named = (DEFAULT_PIVOT[alg] if p == "default" else p for p in pivot_names)
+                pivots = list(dict.fromkeys(p for p in named if p in all_pivots))
             else:
-                pivots = [p for p in pivot_names if p in all_pivots] if pivot_names else all_pivots
+                pivots = all_pivots
             for piv in pivots:
                 cfg = EngineConfig(algorithm=alg, pivot=piv, use_nerve=args.nerve == "on")
                 value, stats, med = run_one(cx, cfg, args.repeat)

@@ -73,8 +73,9 @@ _TABLE_FACETS = 1 << 14
 # splits.  That pass keeps at most 2^m distinct intersections, so a leaf's cost
 # stays bounded; merged by equal intersection the leaves keep a median of 13
 # (match-10, rook-6-6 under bcrt) to 21 (nicgraph-7-2 under bcrt), and 33 on
-# random:40,45.  At 12, random-antichain wall fell further (1.85 -> 1.62
-# reference s) but gadgets' median instance rose 0.021 -> 0.024 s, so 8 it is.
+# random:40,45.  At 12, random-antichain wall fell further (1.85 -> 1.68
+# reference s, perfbench seeds 1-2) but gadgets' median instance rose
+# 0.018 -> 0.021 s and its tail 0.071 -> 0.075 s, so 8 it is.
 _LEAF_FACETS = 8
 
 _M64 = (1 << 64) - 1
