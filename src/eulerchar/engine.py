@@ -77,6 +77,11 @@ _TABLE_FACETS = 1 << 14
 # reference s, perfbench seeds 1-2) but gadgets' median instance rose
 # 0.018 -> 0.021 s and its tail 0.071 -> 0.075 s, so 8 it is.
 _LEAF_FACETS = 8
+# A single-vertex bcrt split (σ = V∖{e}) of a node of more than
+# _HASH_DELETION_FACETS facets builds its deletion child with set lookups
+# (_hash_deletion) instead of maximal_sets, whose transpose_rows above 512 sets
+# took most of the time of large splits.  Smaller nodes gain nothing from it.
+_HASH_DELETION_FACETS = 64
 
 _M64 = (1 << 64) - 1
 
@@ -363,9 +368,53 @@ def _split_dbms_masked(facets, idx):
     return rest, maximal_sets([t & sigma for t in rest])
 
 
-def _split_bcrt_masked(facets, sigma):
-    """bcrt split on σ: facets of (Δ⊖∁σ on σ, Δ∪pows σ sorted)."""
-    inner = maximal_sets([f & sigma for f in facets])
+def _hash_deletion(keep, cut):
+    """maximal_sets(keep + cut) for two antichains where no cut set contains
+    a keep set, or None when some keep set has more than two vertices more
+    than the smallest cut set.
+
+    Only a keep set g can dominate a cut set h, and then h is g with
+    |g| - |h| ≤ 2 of its vertices removed, so the cut sets left after
+    discarding those subsets of every g are exactly the undominated ones."""
+    low = min(map(int.bit_count, cut), default=0)
+    if max(map(int.bit_count, keep), default=0) > low + 2:
+        return None
+    left = set(cut)
+    for g in keep:
+        k = g.bit_count() - low
+        if k < 0:
+            continue
+        left.discard(g)
+        if k:
+            # g less one vertex, by a low-bit loop: cheaper than iter_bits on
+            # sets of a few vertices (the kernel took 0.54 s instead of 0.82 s
+            # over rook-7-7 bcrt's 719 calls on a 2-vCPU host)
+            drop = []
+            b = g
+            while b:
+                x = b & -b
+                drop.append(g ^ x)
+                b ^= x
+            if k == 2:  # and less two: the meets of those
+                drop += [y & z for i, y in enumerate(drop) for z in drop[i + 1 :]]
+            left.difference_update(drop)
+    return sorted(keep + [h for h in cut if h in left])
+
+
+def _split_bcrt_masked(alive, facets, sigma):
+    """bcrt split on σ ⊆ alive: facets of (Δ⊖∁σ on σ, Δ∪pows σ sorted).
+
+    For σ = alive∖{e} on a node of more than _HASH_DELETION_FACETS facets the
+    deletion is the facets g ∌ e and the cut sets f∖e of the facets f ∋ e,
+    maximalized by _hash_deletion: a cut set f∖e ⊆ f′∖e would give f ⊆ f′,
+    and a facet g ∌ e inside a cut set would lie in its facet."""
+    ebit = alive & ~sigma
+    inner = None
+    if len(facets) > _HASH_DELETION_FACETS and not ebit & (ebit - 1):
+        keep = [f for f in facets if not f & ebit]
+        inner = _hash_deletion(keep, [f ^ ebit for f in facets if f & ebit])
+    if inner is None:
+        inner = maximal_sets([f & sigma for f in facets])
     return inner, sorted([f for f in facets if f & ~sigma] + [sigma])
 
 
@@ -479,7 +528,7 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
             # termination needs σ ⊊ V and σ ∉ Δ: the deletion branch loses a
             # vertex and the union branch gains the new face σ
             assert sigma != alive and all(sigma & ~f for f in facets)
-            inner, outer = _split_bcrt_masked(facets, sigma)
+            inner, outer = _split_bcrt_masked(alive, facets, sigma)
             todo.append((_NODE, outer, _child_key(key, 1), sign))
             todo.append((_NODE, inner, _child_key(key, 0), sign))
 
@@ -532,7 +581,7 @@ def split_bcrt(cx: Complex, sigma):
     # the split identity needs a non-empty σ with σ ∉ Δ and σ ⊊ V (for a
     # non-void Δ non-emptiness already follows from σ ∉ Δ)
     assert s and s != mask(cx.n) and all(s & ~f for f in cx.facets), "invalid bcrt pivot"
-    inner, outer = _split_bcrt_masked(cx.facets, s)
+    inner, outer = _split_bcrt_masked(reduce(or_, cx.facets, 0), cx.facets, s)
     k, packed = compress_columns(s, inner)
     return Complex(k, tuple(packed)), Complex(cx.n, tuple(outer))
 

@@ -18,7 +18,7 @@ from eulerchar import (
     try_base_case,
 )
 from eulerchar import engine
-from eulerchar._bitops import mask
+from eulerchar._bitops import iter_bits, mask, maximal_sets
 from eulerchar.engine import BCRT_PIVOTS, DBMS_PIVOTS
 from eulerchar.generators import generate, parse_spec
 
@@ -201,6 +201,33 @@ def test_split_bcrt_identity_exhaustive():
                 continue
             d, u = split_bcrt(c, s)
             assert euler_by_subsets(d) + euler_by_subsets(u) == base, (c, s)
+
+
+def test_vertex_split_deletion_matches_maximal_sets(rng, monkeypatch):
+    # every single-vertex pivot σ = V∖{e} of seeded antichains, with the
+    # hash deletion on at every size; facet sizes spread over 0, 1, 2 or 4
+    # vertices, so d = max|g ∌ e| - min|f∖e| (f ∋ e) is 1 on the pure
+    # complexes and up to 2 (the lookups) or above it (maximal_sets) on others
+    monkeypatch.setattr(engine, "_HASH_DELETION_FACETS", 0)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(6, 12)
+        k = rng.randint(2, n - 4)
+        spread = rng.choice((0, 1, 2, 4))
+        faces = [rng.sample(range(n), k + rng.randint(0, spread)) for _ in range(rng.randint(2, 40))]
+        c = make_complex(n, faces)
+        alive = reduce(or_, c.facets, 0)
+        pure = len({f.bit_count() for f in c.facets}) == 1
+        for e in iter_bits(alive):
+            ebit = 1 << e
+            sigma = alive ^ ebit
+            keep = [f.bit_count() for f in c.facets if not f & ebit]
+            cut = [f.bit_count() - 1 for f in c.facets if f & ebit]
+            if keep:
+                seen.add("pure" if pure else min(max(keep) - min(cut), 3))
+            inner, _ = engine._split_bcrt_masked(alive, list(c.facets), sigma)
+            assert inner == maximal_sets([f & sigma for f in c.facets]), (c, e)
+    assert seen >= {"pure", 1, 2, 3}, seen
 
 
 def test_split_dbms_example():
