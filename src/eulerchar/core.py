@@ -88,8 +88,13 @@ def add_facet_closure(cx: Complex, sigma: FaceLike) -> Complex:
     for f in cx.facets:
         if s & ~f == 0:
             return cx  # σ already a face
-    facets = [f for f in cx.facets if f & ~s] + [s]
-    return Complex(cx.n, tuple(sorted(facets)))
+    return Complex(cx.n, tuple(_closure_facets(cx.facets, s)))
+
+
+def _closure_facets(facets, s):
+    """Sorted facets of Δ ∪ pows(s) for a face s ∉ Δ: s replaces the facets
+    inside it."""
+    return sorted([f for f in facets if f & ~s] + [s])
 
 
 def is_cone(cx: Complex) -> Optional[int]:

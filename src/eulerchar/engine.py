@@ -4,6 +4,9 @@ Two algorithms over the same node pipeline:
 
 * bcrt: split on a vertex-set pivot σ with σ ∉ Δ and σ ⊊ V:
           χ̃(Δ) = χ̃(Δ⊖∁σ) + χ̃(Δ∪pows σ)
+        When ∁σ is one vertex e (popvar, rarevar, random) the second term is
+        -χ̃(lk e), and the split is deletion plus link:
+          χ̃(Δ) = χ̃(Δ∖e) - χ̃(lk e)
 * dbms: split on a facet σ:  χ̃(D) = χ̃(Δ) - χ̃(Δ⊖∁σ)  with
           Δ = closure(facets∖{σ})
 
@@ -38,9 +41,11 @@ from typing import Optional
 from ._bitops import compress_columns, count_is, count_planes, iter_bits, mask, maximal_sets
 from .core import (
     Complex,
+    _closure_facets,
     _independent_pair_masked,
     _independent_parts_masked,
     _nerve_facets,
+    add_facet_closure,
     as_face,
 )
 from .errors import InputError, checked_add, checked_mul
@@ -80,7 +85,9 @@ _LEAF_FACETS = 8
 # A single-vertex bcrt split (σ = V∖{e}) of a node of more than
 # _HASH_DELETION_FACETS facets builds its deletion child with set lookups
 # (_hash_deletion) instead of maximal_sets, whose transpose_rows above 512 sets
-# took most of the time of large splits.  Smaller nodes gain nothing from it.
+# took most of the time of large splits.  A gate of 8 facets was no faster
+# on narrow-bcrt (0.369-0.377 against 0.355-0.382 reference s, four
+# alternating pairs of perfbench seeds 1-4).
 _HASH_DELETION_FACETS = 64
 
 _M64 = (1 << 64) - 1
@@ -402,20 +409,25 @@ def _hash_deletion(keep, cut):
 
 
 def _split_bcrt_masked(alive, facets, sigma):
-    """bcrt split on σ ⊆ alive: facets of (Δ⊖∁σ on σ, Δ∪pows σ sorted).
+    """bcrt split on σ ⊆ alive: the facets of Δ⊖∁σ on σ and, when ∁σ is one
+    vertex e, those of lk e (sorted), else None.
 
-    For σ = alive∖{e} on a node of more than _HASH_DELETION_FACETS facets the
-    deletion is the facets g ∌ e and the cut sets f∖e of the facets f ∋ e,
-    maximalized by _hash_deletion: a cut set f∖e ⊆ f′∖e would give f ⊆ f′,
-    and a facet g ∌ e inside a cut set would lie in its facet."""
+    lk e's facets are the cut sets f∖e of the facets f ∋ e, an antichain
+    since f∖e ⊆ f′∖e would give f ⊆ f′.  The deletion is maximal_sets of
+    the facets g ∌ e and the cut sets, and no g lies in a cut set (it would
+    lie in its facet), so on a node of more than _HASH_DELETION_FACETS facets
+    _hash_deletion may build it."""
     ebit = alive & ~sigma
+    if ebit & (ebit - 1):  # popgcd's σ can miss several vertices
+        return maximal_sets([f & sigma for f in facets]), None
+    keep = [f for f in facets if not f & ebit]
+    cut = [f ^ ebit for f in facets if f & ebit]
     inner = None
-    if len(facets) > _HASH_DELETION_FACETS and not ebit & (ebit - 1):
-        keep = [f for f in facets if not f & ebit]
-        inner = _hash_deletion(keep, [f ^ ebit for f in facets if f & ebit])
+    if len(facets) > _HASH_DELETION_FACETS:
+        inner = _hash_deletion(keep, cut)
     if inner is None:
-        inner = maximal_sets([f & sigma for f in facets])
-    return inner, sorted([f for f in facets if f & ~sigma] + [sigma])
+        inner = maximal_sets(keep + cut)
+    return inner, sorted(cut)
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +517,9 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
             continue
 
         # the facet tuple determines the complex exactly, and the facets are
-        # sorted here (maximal_sets, dbms's rest slice, bcrt's sorted outer
-        # and the monotone compression keep them so), so a repeated complex
-        # repeats its key
+        # sorted here (maximal_sets, dbms's rest slice, bcrt's sorted link and
+        # facet closure, and the monotone compression keep them so), so a
+        # repeated complex repeats its key
         tkey = None
         if m <= _TABLE_KEY_FACETS:
             tkey = tuple(facets)
@@ -526,10 +538,14 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
         else:
             sigma = _select_bcrt_masked(alive, facets, planes, strategy, key)
             # termination needs σ ⊊ V and σ ∉ Δ: the deletion branch loses a
-            # vertex and the union branch gains the new face σ
+            # vertex, the link loses e and the facets without it, and the
+            # union branch gains the new face σ
             assert sigma != alive and all(sigma & ~f for f in facets)
-            inner, outer = _split_bcrt_masked(alive, facets, sigma)
-            todo.append((_NODE, outer, _child_key(key, 1), sign))
+            inner, link = _split_bcrt_masked(alive, facets, sigma)
+            if link is None:
+                todo.append((_NODE, _closure_facets(facets, sigma), _child_key(key, 1), sign))
+            else:
+                todo.append((_NODE, link, _child_key(key, 1), -sign))
             todo.append((_NODE, inner, _child_key(key, 0), sign))
 
     stats.elapsed = time.perf_counter() - t0
@@ -581,9 +597,9 @@ def split_bcrt(cx: Complex, sigma):
     # the split identity needs a non-empty σ with σ ∉ Δ and σ ⊊ V (for a
     # non-void Δ non-emptiness already follows from σ ∉ Δ)
     assert s and s != mask(cx.n) and all(s & ~f for f in cx.facets), "invalid bcrt pivot"
-    inner, outer = _split_bcrt_masked(reduce(or_, cx.facets, 0), cx.facets, s)
+    inner, _ = _split_bcrt_masked(reduce(or_, cx.facets, 0), cx.facets, s)
     k, packed = compress_columns(s, inner)
-    return Complex(k, tuple(packed)), Complex(cx.n, tuple(outer))
+    return Complex(k, tuple(packed)), add_facet_closure(cx, s)
 
 
 def split_dbms(cx: Complex, facet_index: int):

@@ -6,6 +6,7 @@ import pytest
 from eulerchar import (
     Complex,
     EngineConfig,
+    add_facet_closure,
     InputError,
     euler,
     euler_by_subsets,
@@ -203,7 +204,7 @@ def test_split_bcrt_identity_exhaustive():
             assert euler_by_subsets(d) + euler_by_subsets(u) == base, (c, s)
 
 
-def test_vertex_split_deletion_matches_maximal_sets(rng, monkeypatch):
+def test_vertex_split_is_deletion_plus_link(rng, monkeypatch):
     # every single-vertex pivot σ = V∖{e} of seeded antichains, with the
     # hash deletion on at every size; facet sizes spread over 0, 1, 2 or 4
     # vertices, so d = max|g ∌ e| - min|f∖e| (f ∋ e) is 1 on the pure
@@ -211,7 +212,7 @@ def test_vertex_split_deletion_matches_maximal_sets(rng, monkeypatch):
     monkeypatch.setattr(engine, "_HASH_DELETION_FACETS", 0)
     seen = set()
     for _ in range(300):
-        n = rng.randint(6, 12)
+        n = rng.randint(6, 10)
         k = rng.randint(2, n - 4)
         spread = rng.choice((0, 1, 2, 4))
         faces = [rng.sample(range(n), k + rng.randint(0, spread)) for _ in range(rng.randint(2, 40))]
@@ -225,8 +226,10 @@ def test_vertex_split_deletion_matches_maximal_sets(rng, monkeypatch):
             cut = [f.bit_count() - 1 for f in c.facets if f & ebit]
             if keep:
                 seen.add("pure" if pure else min(max(keep) - min(cut), 3))
-            inner, _ = engine._split_bcrt_masked(alive, list(c.facets), sigma)
+            inner, link = engine._split_bcrt_masked(alive, list(c.facets), sigma)
             assert inner == maximal_sets([f & sigma for f in c.facets]), (c, e)
+            union = euler_by_subsets(add_facet_closure(c, sigma))
+            assert -euler_by_subsets(Complex(n, tuple(link))) == union, (c, e)
     assert seen >= {"pure", 1, 2, 3}, seen
 
 
@@ -400,15 +403,15 @@ def test_counters_keep_their_five_keys():
 PINNED_SEARCHES = [
     ("rook:6,6", "dbms", 185, 1087, 31, 79,
      {"cone": 26, "empty_face": 2, "four_facets": 23, "lattice": 493}, 0, 0),
-    ("rook:6,6", "bcrt", 185, 955, 632, 180,
+    ("rook:6,6", "bcrt", 185, 955, 155, 180,
      {"cone": 163, "four_facets": 26, "lattice": 194, "three_facets": 1}, 94, 0),
     ("match:10", "dbms", -1216, 1539, 62, 1,
      {"cone": 22, "empty_face": 42, "lattice": 340, "three_facets": 366}, 0, 0),
-    ("match:10", "bcrt", -1216, 1223, 748, 215,
+    ("match:10", "bcrt", -1216, 1223, 137, 215,
      {"cone": 72, "empty_face": 77, "four_facets": 1, "lattice": 227, "three_facets": 163}, 72, 0),
     ("nicgraph:7,2", "dbms", -120, 1055, 1322, 9,
      {"cone": 360, "empty_face": 50, "four_facets": 2, "lattice": 110, "three_facets": 3}, 3, 0),
-    ("nicgraph:7,2", "bcrt", -120, 2563, 4661, 257,
+    ("nicgraph:7,2", "bcrt", -120, 2563, 3380, 257,
      {"cone": 802, "empty_face": 83, "four_facets": 97, "lattice": 262, "three_facets": 7}, 31, 394),
     ("match:11", "dbms", -936, 901, 70, 1,
      {"cone": 29, "empty_face": 28, "lattice": 288, "three_facets": 70}, 36, 0),

@@ -14,19 +14,24 @@ counter in sharpsat.py counts F.  The dense complexes of 25-40 variable
 its work.
 
 Dense complexes (60-80 vertices, facets of about half of them) check
-dbms = bcrt and the nerve with the engine's own nerve step off.
+dbms = bcrt and the nerve with the engine's own nerve step off.  The vertex
+recursion χ̃(Δ) = χ̃(Δ∖e) - χ̃(lk e), bcrt's single-vertex split, is checked
+between dbms runs on sparse and dense complexes.
 
 Time budget: about 22 s on 2 cores in all, of which the #SAT cases take
-about 10 s (4.6 s for the 40-variable one) and the dense ones about 1.5 s.
+about 10 s (4.6 s for the 40-variable one), the dense ones about 1.5 s and
+the vertex recursion about 1 s.
 """
 
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 
 from eulerchar import EngineConfig, engine, euler, f_vector, make_complex
 from eulerchar._bitops import iter_bits
-from eulerchar.core import join, nerve
+from eulerchar.core import join, nerve, restrict
 from eulerchar.engine import BCRT_PIVOTS, DBMS_PIVOTS
 from eulerchar.reductions import (
     CnfFormula,
@@ -121,6 +126,19 @@ def test_dense_relations_agree(seed):
     nv = nerve(cx)
     for alg in ("dbms", "bcrt"):
         assert value(nv, algorithm=alg, use_nerve=False) == want, (seed, alg)
+
+
+@pytest.mark.parametrize("seed", DENSE_SEEDS)
+def test_vertex_recursion_above_oracle_range(seed):
+    # bcrt's single-vertex split as a relation between dbms runs, on a sparse
+    # and a dense complex: χ̃(Δ) = χ̃(Δ∖e) - χ̃(lk e) for three used vertices
+    rng = random.Random(1000 + seed)
+    for cx in (sparse_complex(rng, (30, 60), (20, 100)), dense_complex(rng)):
+        want = value(cx)
+        for e in rng.sample(sorted(iter_bits(reduce(or_, cx.facets))), 3):
+            deletion, _ = restrict(cx, {e})
+            link = make_complex(cx.n, [f ^ (1 << e) for f in cx.facets if f >> e & 1])
+            assert value(deletion) - value(link) == want, (seed, e)
 
 
 def random_3cnf(num_vars, seed, ratio=4.2):
