@@ -16,11 +16,12 @@ is then simplified: unused vertices are dropped, and each pass eliminates all
 of its abundant vertices in one batch, with one sign flip per missing facet
 and one maximal_sets (see _simplify_masked for why that equals eliminating
 them one at a time).  It is split into independent factors Δ_A ⊕ Δ_B (whose
-χ̃ multiply) if it is too large for the table below, possibly replaced by
-its nerve, and matched against the base cases.  A node of at most
-_LEAF_FACETS facets that is left is a leaf: its χ̃ is summed in one pass over
-its facet intersections (_lattice_masked), the complements of the lcms in the
-paper's inclusion-exclusion.  Any other node goes on to a pivot split.
+χ̃ multiply) if it is too large for the table below, and possibly replaced
+by its nerve.  Its terminal step then scores void, {∅} and a cone, and
+solves any other node of at most _LEAF_FACETS facets as a leaf: its χ̃ is
+summed in one pass over its facet intersections (_lattice_masked), the
+complements of the lcms in the paper's inclusion-exclusion.  Any other node
+goes on to a pivot split.
 
 A node small enough for the table (at most _TABLE_KEY_FACETS facets) that
 reaches its pivot split is first looked up in a subproblem table that lives
@@ -73,14 +74,14 @@ _TABLE_KEY_FACETS = 64
 # would pass it evicts the oldest entries first (deterministic, so the
 # counters repeat from run to run)
 _TABLE_FACETS = 1 << 14
-# A node of at most _LEAF_FACETS facets that no base case solves is solved in
-# one pass over its facet intersections (_lattice_masked) instead of by pivot
-# splits.  That pass keeps at most 2^m distinct intersections, so a leaf's cost
-# stays bounded; merged by equal intersection the leaves keep a median of 13
-# (match-10, rook-6-6 under bcrt) to 21 (nicgraph-7-2 under bcrt), and 33 on
-# random:40,45.  At 12, random-antichain wall fell further (1.85 -> 1.68
-# reference s, perfbench seeds 1-2) but gadgets' median instance rose
-# 0.018 -> 0.021 s and its tail 0.071 -> 0.075 s, so 8 it is.
+# A node of at most _LEAF_FACETS facets that is not void, {∅} or a cone is
+# solved in one pass over its facet intersections (_lattice_masked) instead of
+# by pivot splits.  That pass keeps at most 2^m distinct intersections, so a
+# leaf's cost stays bounded; merged by equal intersection the leaves keep a
+# median of 13 (match-10, rook-6-6 under bcrt) to 21 (nicgraph-7-2 under
+# bcrt), and 33 on random:40,45.  At 12, random-antichain wall fell further
+# (1.85 -> 1.68 reference s, perfbench seeds 1-2) but gadgets' median instance
+# rose 0.018 -> 0.021 s and its tail 0.071 -> 0.075 s, so 8 it is.
 _LEAF_FACETS = 8
 # A single-vertex bcrt split (σ = V∖{e}) of a node of more than
 # _HASH_DELETION_FACETS facets builds its deletion child with set lookups
@@ -184,8 +185,8 @@ def _simplify_masked(facets):
       its last facet (a simplex boundary would otherwise become void);
     * cone guard: from the second σ on, the batch stops when σ ∩ t lies in
       another live facet.  That facet would swallow σ ∩ t, leaving v in every
-      facet: a cone, which the next pass keeps and the base case scores.  The
-      first σ needs no check, since the input is an antichain.
+      facet: a cone, which the next pass keeps and the terminal step scores.
+      The first σ needs no check, since the input is an antichain.
     """
     sign = 1
     elim = 0
@@ -232,14 +233,12 @@ def _narrowed(facets):
 
 
 def _base_case_masked(universe, facets, planes):
-    """Terminal values, tried in order.  Returns (value, kind) or None.
+    """The terminal step, tried in order.  Returns (value, kind) or None.
 
-    universe is the union of the facets and planes count them, so each rule
-    is an exact test of how many of the m facets hold each vertex: a cone has
-    a vertex in all m, a simplex boundary (co-disjoint facets) every vertex
-    in m - 1 (for m = 2, any non-cone), three disjoint simplices none in two,
-    and a 4-cycle four facets on four vertices, each in two (over more
-    vertices that also fits blown-up K4s, whose χ̃ is -2 or -3).
+    universe is the union of the facets and planes count them.  Void, {∅}
+    and a cone (a vertex in all m facets) have fixed values; any other node
+    of at most _LEAF_FACETS facets is a leaf, solved by _lattice_masked.
+    None is left for a non-cone of more facets, which goes on to a split.
     """
     m = len(facets)
     if m == 0:
@@ -248,12 +247,8 @@ def _base_case_masked(universe, facets, planes):
         return -1, "empty_face"
     if count_is(planes, universe, m):
         return 0, "cone"
-    if count_is(planes, universe, m - 1) == universe:
-        return (1 if m % 2 == 0 else -1), "codisjoint"
-    if m == 3 and not any(planes[1:]):
-        return 2, "three_facets"
-    if m == 4 and universe.bit_count() == 4 and count_is(planes, universe, 2) == universe:
-        return -1, "four_facets"
+    if m <= _LEAF_FACETS:
+        return _lattice_masked(universe, facets), "lattice"
     return None
 
 
@@ -311,8 +306,9 @@ def _bcrt_candidates(alive, facets):
 
 def _select_bcrt_masked(alive, facets, planes, strategy, key):
     cand = _bcrt_candidates(alive, facets)
-    # if no candidate existed every comple{e} would be a facet, i.e. Δ is the
-    # simplex boundary, which the co-disjoint base case already handled
+    # if no candidate existed every comple{e} would be a facet, i.e. Δ is a
+    # simplex boundary; simplify leaves no vertex in m - 1 facets, so neither
+    # a node nor its nerve is one
     assert cand, "pivot selection reached with no valid vertex"
     if strategy == "random":
         choices = list(iter_bits(cand))
@@ -349,6 +345,7 @@ def _select_dbms_masked(alive, facets, planes, strategy, key):
                 return i
         raise AssertionError("rare vertex contained in every facet (cone)")
     cand = _bcrt_candidates(alive, facets)
+    # simplify leaves no vertex in m - 1 facets, so no simplex boundary
     assert cand, "no popular-vertex candidate (simplex boundary)"
     if strategy in ("rarevar", "raremax"):
         ebit = 1 << _lowest(_argmax_mask(cand, planes))
@@ -511,10 +508,6 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
             hits[kind] = hits.get(kind, 0) + 1
             vals.append(value * sign)
             continue
-        if m <= _LEAF_FACETS:
-            hits["lattice"] = hits.get("lattice", 0) + 1
-            vals.append(_lattice_masked(alive, facets) * sign)
-            continue
 
         # the facet tuple determines the complex exactly, and the facets are
         # sorted here (maximal_sets, dbms's rest slice, bcrt's sorted link and
@@ -567,8 +560,10 @@ def simplify(cx: Complex):
 
 
 def try_base_case(cx: Complex) -> Optional[int]:
-    """χ̃ for the directly-solvable shapes, or None.  The rules are exact
-    facet-count tests, so the complex need not be simplified first."""
+    """χ̃ from the engine's terminal step: 0 for void and for a cone, -1 for
+    {∅}, the leaf's value for any other complex of at most _LEAF_FACETS (8)
+    facets, and None for a non-cone of more facets.  The complex need not be
+    simplified first."""
     planes = count_planes(cx.facets)
     bc = _base_case_masked(reduce(or_, planes, 0), list(cx.facets), planes)
     return None if bc is None else bc[0]

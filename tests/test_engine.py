@@ -1,4 +1,5 @@
 from functools import reduce
+from itertools import combinations
 from operator import or_
 
 import pytest
@@ -9,8 +10,11 @@ from eulerchar import (
     add_facet_closure,
     InputError,
     euler,
+    euler_by_inclusion_exclusion,
     euler_by_subsets,
+    is_cone,
     make_complex,
+    nerve,
     select_pivot_bcrt,
     select_pivot_dbms,
     simplify,
@@ -114,25 +118,39 @@ def test_base_case_order_and_misses():
     assert try_base_case(cx(3, {0}, {1}, {2})) == 2  # three disjoint simplices
     # triangle boundary = simplex boundary: pairwise co-disjoint, (-1)^3
     assert try_base_case(cx(3, {0, 1}, {0, 2}, {1, 2})) == -1
-    # path complex: not a cone, not co-disjoint, no small-m rule applies
-    assert try_base_case(cx(4, {0, 1}, {1, 2}, {2, 3})) is None
+    # path complex: not a cone, so the leaf solves it (contractible)
+    path = cx(4, {0, 1}, {1, 2}, {2, 3})
+    assert try_base_case(path) == euler_by_subsets(path) == 0
     # four facets, every vertex in two of them, over 5 or 6 vertices: blown-up
     # K4 minus an edge (χ̃ = -2) and K4 (χ̃ = -3), not the 4-cycle's -1
     for edges in ("01 02 03 12 13", "01 02 03 12 13 23"):
         pairs = edges.split()
         c = cx(len(pairs), *[{v for v, p in enumerate(pairs) if str(i) in p} for i in range(4)])
-        assert try_base_case(c) is None
-        assert euler(c)[0] == euler_by_subsets(c) == 3 - len(pairs)
+        assert try_base_case(c) == euler(c)[0] == euler_by_subsets(c) == 3 - len(pairs)
+    # nine isolated points: no cone, and more facets than the leaf takes
+    assert try_base_case(cx(9, *[{v} for v in range(9)])) is None
 
 
 def test_base_case_values_match_oracle(rng):
-    hits = 0
-    for c in all_complexes(4):
+    # every complex on at most 4 vertices, and complexes of 9-12 equal-size
+    # facets (an antichain), beyond the leaf, every other one made a cone by
+    # an apex vertex n
+    large = []
+    for i in range(60):
+        n = rng.randint(6, 8)
+        faces = rng.sample(list(combinations(range(n), rng.randint(2, n - 2))), rng.randint(9, 12))
+        large.append(make_complex(n + 1, [f + (n,) if i % 2 else f for f in faces]))
+    hits = misses = large_cones = 0
+    for c in [*all_complexes(4), *large]:
         got = try_base_case(c)
-        if got is not None:
+        if got is None:
+            misses += 1
+            assert c.num_facets > 8 and is_cone(c) is None, c
+        else:
             hits += 1
+            large_cones += c.num_facets > 8
             assert got == euler_by_subsets(c), c
-    assert hits > 50
+    assert hits > 50 and misses > 20 and large_cones > 20
 
 
 # --- pivot selection ---------------------------------------------------------
@@ -155,14 +173,19 @@ def test_select_pivot_rejects_unknown_strategy():
 
 
 def test_select_pivot_bcrt_validity(rng):
+    # a pivot needs at least two facets and no cone; simplify has left no
+    # vertex in m - 1 facets, so no simplex boundary either
+    reached = 0
     for _ in range(200):
         c, _ = simplify(random_complex(rng, 9, 9))
-        if try_base_case(c) is not None:
+        if c.num_facets < 2 or is_cone(c) is not None:
             continue
+        reached += 1
         for strat in BCRT_PIVOTS:
             s = select_pivot_bcrt(c, strat, key=17)
             assert 0 < s < mask(c.n)
             assert all(s & ~f for f in c.facets), (c, strat)  # σ ∉ Δ
+    assert reached >= 5
 
 
 def test_select_pivot_dbms_examples():
@@ -174,13 +197,16 @@ def test_select_pivot_dbms_examples():
 
 
 def test_select_pivot_dbms_all_strategies_in_range(rng):
+    reached = 0
     for _ in range(200):
         c, _ = simplify(random_complex(rng, 9, 9))
-        if try_base_case(c) is not None:
+        if c.num_facets < 2 or is_cone(c) is not None:
             continue
+        reached += 1
         for strat in DBMS_PIVOTS:
             idx = select_pivot_dbms(c, strat, key=3)
             assert 0 <= idx < c.num_facets
+    assert reached >= 5
 
 
 # --- splits ------------------------------------------------------------------
@@ -337,8 +363,8 @@ def test_lattice_leaf_matches_oracle_random(rng):
 
 def test_lattice_leaf_changes_no_value(rng, monkeypatch):
     # the same complexes solved with the leaf and, with _LEAF_FACETS at 0, by
-    # pivot splits down to the base cases alone; 6-30 facets of 2-6 vertices,
-    # so most reach the leaf only after splits
+    # pivot splits down to void, {∅} and cones alone; 6-30 facets of 2-6
+    # vertices, so most reach the leaf only after splits
     cases = []
     for _ in range(200):
         n = rng.randint(8, 20)
@@ -353,6 +379,24 @@ def test_lattice_leaf_changes_no_value(rng, monkeypatch):
             value, stats = euler(c, cfg)
             assert value == want, (c, cfg)
             assert "lattice" not in stats.base_case_hits
+
+
+@pytest.mark.parametrize("k", [9, 10])
+def test_blown_up_boundary_above_the_leaf(k):
+    # k groups of 2 facets: vertex j lies in every facet outside group j, and
+    # facet i also holds the private vertex k + i.  No vertex lies in m - 1
+    # facets, so simplify keeps it; under bcrt its nerve is a simplex boundary
+    # on k facets blown up (each nerve vertex in k - 1 of them), too many
+    # facets for the leaf, so a pivot split must solve it
+    c = make_complex(3 * k, [[j for j in range(k) if j != i // 2] + [k + i] for i in range(2 * k)])
+    nv = nerve(c)
+    assert nv.num_facets == k > engine._LEAF_FACETS
+    assert all(sum(f >> v & 1 for f in nv.facets) == k - 1 for v in range(nv.n))
+    want = euler_by_inclusion_exclusion(c)
+    assert want == (-1) ** k
+    for cfg in all_configs():
+        if cfg.use_nerve:
+            assert euler(c, cfg)[0] == want, cfg
 
 
 # --- subproblem table ----------------------------------------------------------
@@ -402,21 +446,21 @@ def test_counters_keep_their_five_keys():
 # pipeline that keeps every value but changes the search shows here first
 PINNED_SEARCHES = [
     ("rook:6,6", "dbms", 185, 1087, 31, 79,
-     {"cone": 26, "empty_face": 2, "four_facets": 23, "lattice": 493}, 0, 0),
+     {"cone": 26, "empty_face": 2, "lattice": 516}, 0, 0),
     ("rook:6,6", "bcrt", 185, 955, 155, 180,
-     {"cone": 163, "four_facets": 26, "lattice": 194, "three_facets": 1}, 94, 0),
+     {"cone": 163, "lattice": 221}, 94, 0),
     ("match:10", "dbms", -1216, 1539, 62, 1,
-     {"cone": 22, "empty_face": 42, "lattice": 340, "three_facets": 366}, 0, 0),
+     {"cone": 22, "empty_face": 42, "lattice": 706}, 0, 0),
     ("match:10", "bcrt", -1216, 1223, 137, 215,
-     {"cone": 72, "empty_face": 77, "four_facets": 1, "lattice": 227, "three_facets": 163}, 72, 0),
+     {"cone": 72, "empty_face": 77, "lattice": 391}, 72, 0),
     ("nicgraph:7,2", "dbms", -120, 1055, 1322, 9,
-     {"cone": 360, "empty_face": 50, "four_facets": 2, "lattice": 110, "three_facets": 3}, 3, 0),
+     {"cone": 360, "empty_face": 50, "lattice": 115}, 3, 0),
     ("nicgraph:7,2", "bcrt", -120, 2563, 3380, 257,
-     {"cone": 802, "empty_face": 83, "four_facets": 97, "lattice": 262, "three_facets": 7}, 31, 394),
+     {"cone": 802, "empty_face": 83, "lattice": 366}, 31, 394),
     ("match:11", "dbms", -936, 901, 70, 1,
-     {"cone": 29, "empty_face": 28, "lattice": 288, "three_facets": 70}, 36, 0),
+     {"cone": 29, "empty_face": 28, "lattice": 358}, 36, 0),
     ("rook:6,6", "dbms/rarest", 185, 995, 10, 51,
-     {"cone": 11, "four_facets": 86, "lattice": 401}, 0, 0),
+     {"cone": 11, "lattice": 487}, 0, 0),
 ]
 
 
