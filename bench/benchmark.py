@@ -7,9 +7,13 @@ large for the table that split into independent factors).
 
 With --json PATH the rows also go to PATH as one JSON document: per
 instance and configuration χ̃, counters(), cache_hits, cache_evictions, the
-median seconds and the process's peak RSS so far (ru_maxrss, KB; rows run in
-the order listed, so each row's figure covers the rows before it), plus the
-Python version, the usable CPU count and the git commit of the checkout.
+median seconds, the median in reference seconds and the process's peak RSS
+so far (ru_maxrss, KB; rows run in the order listed, so each row's figure
+covers the rows before it), plus the Python version, the usable CPU count
+and the git commit of the checkout.  Every timed run sits between two runs
+of perfbench/run.py's calibration loop, which scales it to reference seconds
+(see that file): the seconds the run would take on a host where the loop
+takes its reference time, so points from different hosts and hours compare.
 
 Examples:
     python bench/benchmark.py                       # default instance set
@@ -19,6 +23,7 @@ Examples:
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -27,6 +32,7 @@ import statistics
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from eulerchar import CapacityError, EngineConfig, InputError, euler
 from eulerchar.engine import ALGORITHMS, BCRT_PIVOTS, DBMS_PIVOTS, DEFAULT_PIVOT
@@ -43,14 +49,32 @@ DEFAULT_INSTANCES = [
 ]
 
 
-def run_one(cx, cfg, repeat):
+def load_perfbench():
+    """perfbench/run.py, loaded by path for its calibration; its `import
+    tracing` needs perfbench/ on sys.path."""
+    directory = str(Path(__file__).resolve().parent.parent / "perfbench")
+    if directory not in sys.path:
+        sys.path.insert(0, directory)
+    spec = importlib.util.spec_from_file_location("perfbench_run", f"{directory}/run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_one(cx, cfg, repeat, perf):
+    """(χ̃, stats, median seconds, median reference seconds) of repeat runs,
+    each between two runs of perf's calibration loop."""
     times = []
+    refs = []
     value = stats = None
     for _ in range(repeat):
+        before = perf.calibrate()
         t0 = time.perf_counter()
         value, stats = euler(cx, cfg)
-        times.append(time.perf_counter() - t0)
-    return value, stats, statistics.median(times)
+        t = time.perf_counter() - t0
+        times.append(t)
+        refs.append(perf.reference_seconds(t, before, perf.calibrate()))
+    return value, stats, statistics.median(times), statistics.median(refs)
 
 
 def git_commit():
@@ -96,6 +120,7 @@ def main(argv=None):
     except (InputError, CapacityError) as exc:
         ap.error(str(exc))
 
+    perf = load_perfbench()
     print(
         f"{'instance':>18} {'n':>5} {'m':>7}  {'config':<18} {'chi':>8} {'nodes':>9} "
         f"{'elims':>9} {'hits':>7} {'splits':>7} {'median_s':>9}"
@@ -111,7 +136,7 @@ def main(argv=None):
                 pivots = all_pivots
             for piv in pivots:
                 cfg = EngineConfig(algorithm=alg, pivot=piv, use_nerve=args.nerve == "on")
-                value, stats, med = run_one(cx, cfg, args.repeat)
+                value, stats, med, med_ref = run_one(cx, cfg, args.repeat, perf)
                 print(
                     f"{spec_text:>18} {cx.n:>5} {cx.num_facets:>7}  "
                     f"{alg + '/' + piv:<18} {value:>8} {stats.nodes_expanded:>9} "
@@ -130,6 +155,7 @@ def main(argv=None):
                         "cache_hits": stats.cache_hits,
                         "cache_evictions": stats.cache_evictions,
                         "median_s": med,
+                        "median_ref_s": med_ref,
                         "repeat": args.repeat,
                         "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
                     }

@@ -145,10 +145,7 @@ def _independent_pair_masked(alive, facets):
     one side, or None; see find_independent_pair."""
     blobs = []
     for f in facets:
-        c = alive & ~f
-        if not c:
-            return None  # facet = V means Δ = pows(V)
-        merged = c
+        merged = alive & ~f
         rest = []
         for b in blobs:
             if b & merged:

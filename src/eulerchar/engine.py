@@ -294,29 +294,22 @@ def _lowest(bits):
     return (bits & -bits).bit_length() - 1
 
 
-def _bcrt_candidates(alive, facets):
-    """Vertices e usable as comple{e} pivots: comple{e} must not be a facet."""
-    nu = alive.bit_count()
-    excl = 0
-    for f in facets:
-        if f.bit_count() == nu - 1:
-            excl |= alive & ~f
-    return alive & ~excl
+# The pivot precondition: a split node has at least two facets, no vertex in
+# all of them (a cone is a base case) and, as simplify leaves it, none in
+# m - 1.  So no facet is V∖{e}, which would put e in the other m - 1, and
+# none of its nerve is either: a nerve facet of m - 1 vertices is a vertex in
+# m - 1 facets of the node.  The selectors thus choose from all of alive, and
+# euler() asserts that each bcrt pivot is valid.
 
 
 def _select_bcrt_masked(alive, facets, planes, strategy, key):
-    cand = _bcrt_candidates(alive, facets)
-    # if no candidate existed every comple{e} would be a facet, i.e. Δ is a
-    # simplex boundary; simplify leaves no vertex in m - 1 facets, so neither
-    # a node nor its nerve is one
-    assert cand, "pivot selection reached with no valid vertex"
     if strategy == "random":
-        choices = list(iter_bits(cand))
+        choices = list(iter_bits(alive))
         e = choices[_draw(key, 11, len(choices))]
         return alive ^ (1 << e)
     if strategy == "rarevar":
-        return alive ^ (1 << _lowest(_argmax_mask(cand, planes)))
-    ebit = 1 << _lowest(_argmin_mask(cand, planes))
+        return alive ^ (1 << _lowest(_argmax_mask(alive, planes)))
+    ebit = 1 << _lowest(_argmin_mask(alive, planes))
     if strategy == "popgcd":
         eligible = [f for f in facets if not f & ebit]
         idx = list(range(len(eligible)))
@@ -337,28 +330,20 @@ def _select_dbms_masked(alive, facets, planes, strategy, key):
         return min(range(m), key=lambda i: facets[i].bit_count())
     if strategy == "minsupp":  # largest facet
         return min(range(m), key=lambda i: -facets[i].bit_count())
-    if strategy == "popvar":
-        # rare vertex (no constraint), then the first facet lacking it
-        ebit = 1 << _lowest(_argmin_mask(alive, planes))
-        for i, f in enumerate(facets):
-            if not f & ebit:
-                return i
-        raise AssertionError("rare vertex contained in every facet (cone)")
-    cand = _bcrt_candidates(alive, facets)
-    # simplify leaves no vertex in m - 1 facets, so no simplex boundary
-    assert cand, "no popular-vertex candidate (simplex boundary)"
-    if strategy in ("rarevar", "raremax"):
-        ebit = 1 << _lowest(_argmax_mask(cand, planes))
+    if strategy in ("popvar", "rarevar", "raremax"):
+        # the first facet lacking the rarest (popvar) or most popular vertex
+        pick = _argmin_mask if strategy == "popvar" else _argmax_mask
+        ebit = 1 << _lowest(pick(alive, planes))
         lacking = [i for i, f in enumerate(facets) if not f & ebit]
-        if strategy == "rarevar":
-            return lacking[0]
-        return min(lacking, key=lambda i: facets[i].bit_count())
+        if strategy == "raremax":  # the smallest such facet
+            return min(lacking, key=lambda i: facets[i].bit_count())
+        return lacking[0]
     # rarest: fewest top-popularity vertices held, ties broken level by level
     # down, then by index; stopping early is 2.3x faster than a lexicographic max
     best = range(m)
-    while len(best) > 1 and cand:
-        lev = _argmax_mask(cand, planes)
-        cand &= ~lev
+    while len(best) > 1 and alive:
+        lev = _argmax_mask(alive, planes)
+        alive &= ~lev
         held = [(lev & facets[i]).bit_count() for i in best]
         low = min(held)
         best = [i for i, c in zip(best, held) if c == low]
@@ -407,7 +392,7 @@ def _hash_deletion(keep, cut):
 
 def _split_bcrt_masked(alive, facets, sigma):
     """bcrt split on σ ⊆ alive: the facets of Δ⊖∁σ on σ and, when ∁σ is one
-    vertex e, those of lk e (sorted), else None.
+    vertex e, those of lk e in the facets' order (so sorted too), else None.
 
     lk e's facets are the cut sets f∖e of the facets f ∋ e, an antichain
     since f∖e ⊆ f′∖e would give f ⊆ f′.  The deletion is maximal_sets of
@@ -424,7 +409,7 @@ def _split_bcrt_masked(alive, facets, sigma):
         inner = _hash_deletion(keep, cut)
     if inner is None:
         inner = maximal_sets(keep + cut)
-    return inner, sorted(cut)
+    return inner, cut
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +495,8 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
             continue
 
         # the facet tuple determines the complex exactly, and the facets are
-        # sorted here (maximal_sets, dbms's rest slice, bcrt's sorted link and
-        # facet closure, and the monotone compression keep them so), so a
+        # sorted here (maximal_sets, dbms's rest slice, bcrt's link and facet
+        # closure, and the monotone compression keep them so), so a
         # repeated complex repeats its key
         tkey = None
         if m <= _TABLE_KEY_FACETS:
@@ -569,21 +554,33 @@ def try_base_case(cx: Complex) -> Optional[int]:
     return None if bc is None else bc[0]
 
 
+def _pivot_node(cx: Complex):
+    """(alive, facets, planes) of a complex meeting the pivot precondition
+    (above _select_bcrt_masked); InputError for any other."""
+    facets = list(cx.facets)
+    planes = count_planes(facets)
+    alive = reduce(or_, planes, 0)
+    m = len(facets)
+    if m < 2 or count_is(planes, alive, m) or count_is(planes, alive, m - 1):
+        raise InputError("a pivot needs m >= 2 facets and no vertex in m or m - 1 of them")
+    return alive, facets, planes
+
+
 def select_pivot_bcrt(cx: Complex, strategy: str, key: int = 0) -> int:
     """Choose a bcrt pivot σ (bitmask) with σ ∉ Δ and σ ⊊ V.  `key` seeds the
-    deterministic randomness used by the random/popgcd strategies."""
+    deterministic randomness used by the random/popgcd strategies.  As at a
+    split in euler(), Δ needs m >= 2 facets and no vertex in m or m - 1 of
+    them (simplify leaves none in m - 1); anything else raises InputError."""
     if strategy not in BCRT_PIVOTS:
         raise InputError(f"unknown bcrt strategy {strategy!r}")
-    facets = list(cx.facets)
-    return _select_bcrt_masked(mask(cx.n), facets, count_planes(facets), strategy, _mix(key & _M64))
+    return _select_bcrt_masked(*_pivot_node(cx), strategy, _mix(key & _M64))
 
 
 def select_pivot_dbms(cx: Complex, strategy: str, key: int = 0) -> int:
-    """Choose the index of the dbms pivot facet."""
+    """Choose the index of the dbms pivot facet; Δ as for select_pivot_bcrt."""
     if strategy not in DBMS_PIVOTS:
         raise InputError(f"unknown dbms strategy {strategy!r}")
-    facets = list(cx.facets)
-    return _select_dbms_masked(mask(cx.n), facets, count_planes(facets), strategy, _mix(key & _M64))
+    return _select_dbms_masked(*_pivot_node(cx), strategy, _mix(key & _M64))
 
 
 def split_bcrt(cx: Complex, sigma):
@@ -591,7 +588,8 @@ def split_bcrt(cx: Complex, sigma):
     s = as_face(cx.n, sigma)
     # the split identity needs a non-empty σ with σ ∉ Δ and σ ⊊ V (for a
     # non-void Δ non-emptiness already follows from σ ∉ Δ)
-    assert s and s != mask(cx.n) and all(s & ~f for f in cx.facets), "invalid bcrt pivot"
+    if not s or s == mask(cx.n) or not all(s & ~f for f in cx.facets):
+        raise InputError("a bcrt pivot must be a non-empty proper subset of V and not a face")
     inner, _ = _split_bcrt_masked(reduce(or_, cx.facets, 0), cx.facets, s)
     k, packed = compress_columns(s, inner)
     return Complex(k, tuple(packed)), add_facet_closure(cx, s)
@@ -599,7 +597,8 @@ def split_bcrt(cx: Complex, sigma):
 
 def split_dbms(cx: Complex, facet_index: int):
     """(closure(facets∖{σ}), that closure ⊖ ∁σ); χ̃(Δ) = first - second."""
-    assert len(cx.facets) >= 2, "dbms split needs at least two facets"
+    if not 0 <= facet_index < len(cx.facets) or len(cx.facets) < 2:
+        raise InputError("a dbms split needs at least two facets and 0 <= index < m")
     rest, inner = _split_dbms_masked(cx.facets, facet_index)
     k, packed = compress_columns(cx.facets[facet_index], inner)
     return Complex(cx.n, rest), Complex(k, tuple(packed))

@@ -37,6 +37,8 @@ def test_benchmark_writes_json(tmp_path):
         for key in ("cache_hits", "cache_evictions", "ru_maxrss_kb"):
             assert isinstance(row[key], int), key
         assert row["median_s"] >= 0
+        # the same runs scaled by perfbench's calibration loop
+        assert isinstance(row["median_ref_s"], float) and row["median_ref_s"] > 0
 
 
 def test_benchmark_default_pivots(tmp_path):

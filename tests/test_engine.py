@@ -156,12 +156,46 @@ def test_base_case_values_match_oracle(rng):
 # --- pivot selection ---------------------------------------------------------
 
 
+# simplified, no cone: vertex 3 lies in 3 of the 5 facets, the others in 2
+PIVOT_EXAMPLE = cx(5, {0, 1, 2}, {0, 3}, {1, 3}, {2, 4}, {3, 4})
+
+
+def test_pivot_example_is_a_split_node():
+    assert simplify(PIVOT_EXAMPLE) == (PIVOT_EXAMPLE, 1)
+    assert is_cone(PIVOT_EXAMPLE) is None
+
+
 def test_select_pivot_bcrt_examples():
-    assert select_pivot_bcrt(cx(4, {0, 1}, {2, 3}), "popvar") == 0b1110
-    assert select_pivot_bcrt(cx(3, {0, 1}, {2}), "rarevar") == 0b110
-    c = cx(3, {0, 1}, {2})
+    c = PIVOT_EXAMPLE
+    assert select_pivot_bcrt(c, "popvar") == 0b11110  # V less the rarest vertex, 0
+    assert select_pivot_bcrt(c, "rarevar") == 0b10111  # V less the most popular, 3
+    # the facets lacking vertex 0 are {1,3}, {2,4} and {3,4}: three draws take
+    # all of them, and their union V∖{0} is no face
+    assert select_pivot_bcrt(c, "popgcd", key=5) == 0b11110
     picks = {select_pivot_bcrt(c, "random", key=0) for _ in range(5)}
     assert len(picks) == 1  # deterministic for a fixed key
+
+
+def test_select_pivot_needs_a_split_node():
+    # void, {∅}, one facet, a cone, the triangle boundary (each vertex in
+    # m - 1 facets) and unsimplified complexes with a vertex in m - 1 facets
+    cases = [
+        cx(3),
+        Complex(2, (0,)),
+        cx(3, {0, 2}),
+        cx(4, {0, 1}, {0, 2, 3}),
+        cx(3, {0, 1}, {0, 2}, {1, 2}),
+        cx(4, {0, 1}, {2, 3}),
+        cx(3, {0, 1}, {2}),
+        cx(4, {0, 1, 2}, {0, 3}, {1, 3}),
+    ]
+    for c in cases:
+        for strat in BCRT_PIVOTS:
+            with pytest.raises(InputError):
+                select_pivot_bcrt(c, strat)
+        for strat in DBMS_PIVOTS:
+            with pytest.raises(InputError):
+                select_pivot_dbms(c, strat)
 
 
 def test_select_pivot_rejects_unknown_strategy():
@@ -189,11 +223,32 @@ def test_select_pivot_bcrt_validity(rng):
 
 
 def test_select_pivot_dbms_examples():
-    c = cx(4, {0, 1, 2}, {0, 3}, {1, 3})
-    assert c.facets == (0b0111, 0b1001, 0b1010)
+    c = PIVOT_EXAMPLE
+    assert c.facets == (0b00111, 0b01001, 0b01010, 0b10100, 0b11000)
     assert select_pivot_dbms(c, "maxsupp") == 1  # {0,3}: smallest, lowest position
     assert select_pivot_dbms(c, "minsupp") == 0  # {0,1,2}
-    assert select_pivot_dbms(c, "rarevar") == 2  # first facet lacking vertex 0
+    assert select_pivot_dbms(c, "rarevar") == 0  # first facet lacking vertex 3
+    assert select_pivot_dbms(c, "raremax") == 3  # smallest lacking 3: {2,4}
+    assert select_pivot_dbms(c, "popvar") == 2  # first facet lacking vertex 0
+    # {0,1,2} and {2,4} hold no vertex 3; of them {2,4} holds fewer of the rest
+    assert select_pivot_dbms(c, "rarest") == 3
+
+
+def test_simplified_nodes_meet_the_pivot_precondition(rng):
+    # a facet V∖{e} would put e in the other m - 1 facets, and a nerve facet
+    # of m - 1 vertices is a vertex in m - 1 facets, so simplify's fixpoint
+    # leaves neither in a node or in its nerve
+    randoms = [random_complex(rng, 10, 14) for _ in range(3000)]
+    reached = 0
+    for c in [*all_complexes(5), *randoms]:
+        s, _ = simplify(c)
+        if s.num_facets < 2 or is_cone(s) is not None:
+            continue
+        reached += 1
+        for node in (s, nerve(s)):
+            nu = reduce(or_, node.facets, 0).bit_count()
+            assert all(f.bit_count() != nu - 1 for f in node.facets), (c, node)
+    assert reached > 1000
 
 
 def test_select_pivot_dbms_all_strategies_in_range(rng):
@@ -254,9 +309,38 @@ def test_vertex_split_is_deletion_plus_link(rng, monkeypatch):
                 seen.add("pure" if pure else min(max(keep) - min(cut), 3))
             inner, link = engine._split_bcrt_masked(alive, list(c.facets), sigma)
             assert inner == maximal_sets([f & sigma for f in c.facets]), (c, e)
+            assert link == sorted(link), (c, e)
             union = euler_by_subsets(add_facet_closure(c, sigma))
             assert -euler_by_subsets(Complex(n, tuple(link))) == union, (c, e)
     assert seen >= {"pure", 1, 2, 3}, seen
+
+
+def test_split_bcrt_rejects_an_invalid_pivot():
+    c = cx(3, {0, 1}, {2})
+    for sigma in (0, 0b111, 0b01, {0, 1}):  # empty, V, a face, a facet
+        with pytest.raises(InputError):
+            split_bcrt(c, sigma)
+    # the void complex takes any non-empty proper subset of V
+    d, u = split_bcrt(cx(3), {0, 2})
+    assert (d, u) == (cx(2), cx(3, {0, 2}))
+    assert euler_by_subsets(d) + euler_by_subsets(u) == euler_by_subsets(cx(3))
+
+
+def test_split_dbms_rejects_fewer_than_two_facets():
+    for c in (cx(3), Complex(2, (0,)), cx(3, {0, 1})):
+        with pytest.raises(InputError):
+            split_dbms(c, 0)
+
+
+def test_split_dbms_rejects_an_index_out_of_range():
+    # a negative index used to build a wrong child: on this complex -1 gave
+    # a first child of 9 "facets" with duplicates and σ itself
+    c = cx(4, {0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2})
+    for idx in (-1, -5, 5):
+        with pytest.raises(InputError):
+            split_dbms(c, idx)
+    rest, deleted = split_dbms(c, 4)
+    assert euler_by_subsets(rest) - euler_by_subsets(deleted) == euler_by_subsets(c)
 
 
 def test_split_dbms_example():
