@@ -6,7 +6,8 @@ table hits (subtrees the table saved) and independence splits (nodes too
 large for the table that split into independent factors).
 
 With --json PATH the rows also go to PATH as one JSON document: per
-instance and configuration χ̃, counters(), cache_hits, cache_evictions, the
+instance and configuration χ̃, counters(), cache_hits, cache_evictions,
+relabelled_keys (table lookups made under a degree-relabelled copy), the
 median seconds, the median in reference seconds and the process's peak RSS
 so far (ru_maxrss, KB; rows run in the order listed, so each row's figure
 covers the rows before it), plus the Python version, the usable CPU count
@@ -154,6 +155,7 @@ def main(argv=None):
                         "counters": stats.counters(),
                         "cache_hits": stats.cache_hits,
                         "cache_evictions": stats.cache_evictions,
+                        "relabelled_keys": stats.relabelled_keys,
                         "median_s": med,
                         "median_ref_s": med_ref,
                         "repeat": args.repeat,

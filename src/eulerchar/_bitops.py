@@ -4,10 +4,12 @@ A face / vertex set is a plain Python int used as a bit vector (bit i =
 element i).  CPython big ints already execute the word-level boolean ops in
 C, so these kernels keep the Python-level loop counts low: maximal_sets
 switches to a transposed incidence view for large batches, iter_bits scans
-an int byte by byte through a table, and compress_columns gathers bits from a
-set's binary string, where bit p is the character p places from the right.
+an int byte by byte through a table, and _gather (behind compress_columns and
+the engine's relabelled table keys) picks bits from a set's binary string,
+where bit p is the character p places from the right.
 """
 
+from itertools import groupby
 from operator import itemgetter
 
 _BYTE_BITS = [tuple(b for b in range(8) if (v >> b) & 1) for v in range(256)]
@@ -54,42 +56,30 @@ def maximal_sets(sets):
     Duplicates are dropped.  Result is sorted ascending as integers, so the
     output order is canonical regardless of input order.
     """
-    uniq = set(sets)
-    sizes = {s: s.bit_count() for s in uniq}
-    if len(set(sizes.values())) <= 1:
+    order = sorted(set(sets), key=int.bit_count, reverse=True)
+    if not order or order[0].bit_count() == order[-1].bit_count():
         # equal-cardinality distinct sets are pairwise incomparable
-        return sorted(uniq)
-    order = sorted(uniq, key=lambda s: (-sizes[s], s))
+        return sorted(order)
     if len(order) > _LARGE_BATCH:
-        return sorted(_maximal_transposed(order, sizes))
+        return sorted(_maximal_transposed(order))
+    # a set can only lie in a strictly larger one: each size level is tested
+    # against the levels kept above it (s & k == s says s ⊆ k; `in` scans in C)
     kept = []
-    bound = 0  # kept[:bound] are strictly larger than the current size level
-    cur = -1
-    for s in order:
-        sz = sizes[s]
-        if sz != cur:
-            bound = len(kept)
-            cur = sz
-        dominated = False
-        for i in range(bound):
-            if s & ~kept[i] == 0:
-                dominated = True
-                break
-        if not dominated:
-            kept.append(s)
+    for _, level in groupby(order, int.bit_count):
+        kept += [s for s in level if s not in map(s.__and__, kept)]
     return sorted(kept)
 
 
-def _maximal_transposed(order, sizes):
+def _maximal_transposed(order):
     # order is sorted by descending size; a set can only be dominated by a
     # strictly larger one, i.e. by an earlier index from a previous size run.
     rows = transpose_rows(order)
     kept = []
     bound_mask = 0
-    cur = sizes[order[0]]
+    cur = order[0].bit_count()
     level_mask = 0  # accumulates (1 << i) for indices at the current level
     for i, s in enumerate(order):
-        sz = sizes[s]
+        sz = s.bit_count()
         if sz != cur:
             bound_mask |= level_mask
             level_mask = 0
@@ -145,10 +135,15 @@ def compress_columns(keep, sets):
     """Re-index each bitset onto the dense universe enumerating the set bits
     of `keep` in ascending order.  Returns (k, new_sets)."""
     positions = list(iter_bits(keep))
-    k = len(positions)
-    if not k:
+    if not positions:
         return 0, [0] * len(sets)
-    fmt = f"0{keep.bit_length()}b"
-    # character ~p is bit p; picked highest first, keep's bits spell the new set
-    pick = itemgetter(*[~p for p in reversed(positions)])
-    return k, [int("".join(pick(format(f, fmt))), 2) for f in sets]
+    return len(positions), _gather(positions, sets)
+
+
+def _gather(order, sets):
+    """Each bitset with bit i renamed from bit order[i] (bits outside order
+    dropped); order is a non-empty list of distinct positions."""
+    fmt = f"0{max(order) + 1}b"
+    # character ~p is bit p; picked highest first, the bits spell the new set
+    pick = itemgetter(*[~p for p in reversed(order)])
+    return [int("".join(pick(format(f, fmt))), 2) for f in sets]

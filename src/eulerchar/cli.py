@@ -77,6 +77,7 @@ def _cmd_euler(args) -> int:
             counters = stats.counters()
             counters["cache_hits"] = stats.cache_hits
             counters["cache_evictions"] = stats.cache_evictions
+            counters["relabelled_keys"] = stats.relabelled_keys
             counters["algorithm"] = args.algorithm
             counters["pivot"] = cfg.resolved_pivot()
             return value, counters

@@ -34,7 +34,7 @@ def test_benchmark_writes_json(tmp_path):
     for row in doc["rows"]:
         assert row["instance"] == "rook:3,3" and row["chi"] == -4
         assert set(row["counters"]) == COUNTERS
-        for key in ("cache_hits", "cache_evictions", "ru_maxrss_kb"):
+        for key in ("cache_hits", "cache_evictions", "relabelled_keys", "ru_maxrss_kb"):
             assert isinstance(row[key], int), key
         assert row["median_s"] >= 0
         # the same runs scaled by perfbench's calibration loop

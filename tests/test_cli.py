@@ -147,7 +147,7 @@ def test_euler_stats_line_is_json(tmp_path, capsys):
     assert lines[0] == "-1"
     stats = json.loads(lines[1])
     assert stats["nodes_expanded"] >= 1
-    assert stats["cache_hits"] == stats["cache_evictions"] == 0
+    assert stats["cache_hits"] == stats["cache_evictions"] == stats["relabelled_keys"] == 0
     assert "elapsed" not in stats  # deterministic stdout; timing goes to stderr
     assert "elapsed median" in err
 

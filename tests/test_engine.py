@@ -23,7 +23,7 @@ from eulerchar import (
     try_base_case,
 )
 from eulerchar import engine
-from eulerchar._bitops import iter_bits, mask, maximal_sets
+from eulerchar._bitops import count_planes, iter_bits, mask, maximal_sets
 from eulerchar.engine import BCRT_PIVOTS, DBMS_PIVOTS
 from eulerchar.generators import generate, parse_spec
 
@@ -525,44 +525,103 @@ def test_counters_keep_their_five_keys():
 
 
 # (spec, algorithm, χ̃, nodes, eliminations, nerves, base-case hits, table
-# hits, evictions) under the algorithm's default pivot, or the one named
-# after a slash, with no independence split anywhere: a change to the node
-# pipeline that keeps every value but changes the search shows here first
+# hits, evictions, relabelled lookups) under the algorithm's default pivot, or
+# the one named after a slash, with no independence split anywhere: a change
+# to the node pipeline that keeps every value but changes the search shows
+# here first
 PINNED_SEARCHES = [
     ("rook:6,6", "dbms", 185, 1087, 31, 79,
-     {"cone": 26, "empty_face": 2, "lattice": 516}, 0, 0),
-    ("rook:6,6", "bcrt", 185, 955, 155, 180,
-     {"cone": 163, "lattice": 221}, 94, 0),
+     {"cone": 26, "empty_face": 2, "lattice": 516}, 0, 0, 0),
+    ("rook:6,6", "bcrt", 185, 311, 13, 49,
+     {"cone": 21, "lattice": 55}, 80, 0, 99),
     ("match:10", "dbms", -1216, 1539, 62, 1,
-     {"cone": 22, "empty_face": 42, "lattice": 706}, 0, 0),
-    ("match:10", "bcrt", -1216, 1223, 137, 215,
-     {"cone": 72, "empty_face": 77, "lattice": 391}, 72, 0),
+     {"cone": 22, "empty_face": 42, "lattice": 706}, 0, 0, 0),
+    ("match:10", "bcrt", -1216, 491, 30, 42,
+     {"cone": 24, "empty_face": 11, "lattice": 81}, 130, 0, 166),
     ("nicgraph:7,2", "dbms", -120, 1055, 1322, 9,
-     {"cone": 360, "empty_face": 50, "lattice": 115}, 3, 0),
-    ("nicgraph:7,2", "bcrt", -120, 2563, 3380, 257,
-     {"cone": 802, "empty_face": 83, "lattice": 366}, 31, 394),
+     {"cone": 360, "empty_face": 50, "lattice": 115}, 3, 0, 3),
+    ("nicgraph:7,2", "bcrt", -120, 2021, 2486, 200,
+     {"cone": 584, "empty_face": 76, "lattice": 235}, 116, 183, 615),
     ("match:11", "dbms", -936, 901, 70, 1,
-     {"cone": 29, "empty_face": 28, "lattice": 358}, 36, 0),
-    ("rook:6,6", "dbms/rarest", 185, 995, 10, 51,
-     {"cone": 11, "lattice": 487}, 0, 0),
+     {"cone": 29, "empty_face": 28, "lattice": 358}, 36, 0, 0),
+    ("rook:6,6", "dbms/rarest", 185, 947, 10, 44,
+     {"cone": 11, "lattice": 457}, 6, 0, 16),
 ]
+
+# the rows whose search relabelled keys change, as they read with exact keys
+# alone (nodes, eliminations, nerves, base-case hits, table hits, evictions)
+EXACT_KEY_SEARCHES = {
+    ("rook:6,6", "bcrt"): (955, 155, 180, {"cone": 163, "lattice": 221}, 94, 0),
+    ("match:10", "bcrt"): (1223, 137, 215,
+                           {"cone": 72, "empty_face": 77, "lattice": 391}, 72, 0),
+    ("nicgraph:7,2", "bcrt"): (2563, 3380, 257,
+                               {"cone": 802, "empty_face": 83, "lattice": 366}, 31, 394),
+    ("rook:6,6", "dbms/rarest"): (995, 10, 51, {"cone": 11, "lattice": 487}, 0, 0),
+}
+
+
+def _search(spec, alg):
+    """A PINNED_SEARCHES row's figures from χ̃ on, as run now."""
+    alg, _, pivot = alg.partition("/")
+    value, stats = euler(generate(parse_spec(spec)), EngineConfig(algorithm=alg, pivot=pivot or None))
+    c = stats.counters()
+    assert c["independence_splits"] == 0
+    return (value, c["nodes_expanded"], c["abundant_eliminations"], c["nerve_applications"],
+            c["base_case_hits"], stats.cache_hits, stats.cache_evictions, stats.relabelled_keys)
 
 
 @pytest.mark.parametrize("row", PINNED_SEARCHES, ids=lambda r: f"{r[0]}-{r[1]}")
 def test_search_is_pinned(row):
-    spec, alg, want, nodes, elims, nerves, kinds, hits, evictions = row
-    alg, _, pivot = alg.partition("/")
-    cfg = EngineConfig(algorithm=alg, pivot=pivot or None)
-    value, stats = euler(generate(parse_spec(spec)), cfg)
-    assert value == want
-    assert stats.counters() == {
-        "nodes_expanded": nodes,
-        "base_case_hits": kinds,
-        "nerve_applications": nerves,
-        "abundant_eliminations": elims,
-        "independence_splits": 0,
-    }
-    assert (stats.cache_hits, stats.cache_evictions) == (hits, evictions)
+    assert _search(*row[:2]) == row[2:]
+
+
+@pytest.mark.parametrize("row", PINNED_SEARCHES, ids=lambda r: f"{r[0]}-{r[1]}")
+def test_exact_keys_alone_keep_the_exact_search(row, monkeypatch):
+    # with no node narrow enough for a relabelled key the table sees exact
+    # keys only, and every row reads as it did before relabelled keys existed
+    monkeypatch.setattr(engine, "_ISO_BITS", 0)
+    exact = EXACT_KEY_SEARCHES.get(row[:2], row[3:9])
+    assert _search(*row[:2]) == (row[2], *exact, 0)
+
+
+# --- relabelled keys -------------------------------------------------------------
+
+
+def iso(c):
+    planes = count_planes(c.facets)
+    return engine._iso_facets(reduce(or_, planes, 0), list(c.facets), planes)
+
+
+def degrees(facets):
+    live = reduce(or_, facets, 0)
+    return sorted(sum(f >> v & 1 for f in facets) for v in iter_bits(live))
+
+
+def test_iso_facets_is_an_isomorphic_copy(rng):
+    for _ in range(500):
+        c = random_complex(rng, 12, 12)
+        if c.facets == (0,):  # {∅}: no live vertex to rename (a base case)
+            continue
+        out = iso(c)
+        assert list(out) == maximal_sets(out), c
+        assert len(out) == c.num_facets
+        assert degrees(out) == degrees(c.facets)
+        assert sorted(map(int.bit_count, out)) == sorted(map(int.bit_count, c.facets))
+        assert euler_by_subsets(Complex(c.n, out)) == euler_by_subsets(c), c
+
+
+def test_iso_facets_ignores_labels_when_degrees_are_distinct(rng):
+    found = 0
+    while found < 50:
+        c = random_complex(rng, 6, 12, min_n=3)
+        degs = degrees(c.facets)
+        if c.facets == (0,) or len(set(degs)) < len(degs):
+            continue
+        found += 1
+        # a random injective relabelling, into a universe up to three times wider
+        target = rng.sample(range(3 * c.n), c.n)
+        moved = [sum(1 << target[v] for v in iter_bits(f)) for f in c.facets]
+        assert iso(make_complex(3 * c.n, moved)) == iso(c), c
 
 
 def test_engine_counts_base_case_kinds():
