@@ -9,7 +9,6 @@ gadgets, plus a CLI (`eulerchar`).
 from .core import (
     Complex,
     add_facet_closure,
-    codisjoint,
     find_independent_pair,
     is_cone,
     join,
@@ -57,7 +56,6 @@ __all__ = [
     "restrict",
     "add_facet_closure",
     "is_cone",
-    "codisjoint",
     "nerve",
     "join",
     "find_independent_pair",

@@ -76,10 +76,14 @@ def restrict(cx: Complex, tau: FaceLike):
     """
     t = as_face(cx.n, tau)
     keep = mask(cx.n) & ~t
-    facets = maximal_sets([f & keep for f in cx.facets])
-    k, packed = compress_columns(keep, facets)
     old_to_new = {p: j for j, p in enumerate(iter_bits(keep))}
-    return Complex(k, tuple(packed)), old_to_new
+    return _packed(keep, maximal_sets([f & keep for f in cx.facets])), old_to_new
+
+
+def _packed(keep, facets) -> Complex:
+    """The facets (inside keep) as a Complex on keep's vertices, re-indexed."""
+    k, packed = compress_columns(keep, facets)
+    return Complex(k, tuple(packed))
 
 
 def add_facet_closure(cx: Complex, sigma: FaceLike) -> Complex:
@@ -103,11 +107,6 @@ def is_cone(cx: Complex) -> Optional[int]:
     m = len(cx.facets)
     common = count_is(count_planes(cx.facets), mask(cx.n), m) if m else 0
     return (common & -common).bit_length() - 1 if common else None
-
-
-def codisjoint(sigma: FaceLike, tau: FaceLike, n: int) -> bool:
-    """True iff σ ∪ τ covers the whole universe (complements disjoint)."""
-    return (as_face(n, sigma) | as_face(n, tau)) == mask(n)
 
 
 def _nerve_facets(facets):
@@ -191,6 +190,4 @@ def independent_parts(cx: Complex, a: int, b: int):
     returned: Δ_A is the closure of the facets whose complement lies in A,
     deleted down to A's universe."""
     fa, fb = _independent_parts_masked(mask(cx.n), cx.facets, a, b)
-    ka, pa = compress_columns(a, fa)
-    kb, pb = compress_columns(b, fb)
-    return Complex(ka, tuple(pa)), Complex(kb, tuple(pb))
+    return _packed(a, fa), _packed(b, fb)

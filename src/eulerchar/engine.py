@@ -1,6 +1,7 @@
 """Divide-and-conquer reduced-Euler-characteristic engine.
 
-Two algorithms over the same node pipeline:
+Two algorithms over the same node pipeline, each splitting a node into a first
+child, a second child and a sign, χ̃ = χ̃(first) + sign·χ̃(second):
 
 * bcrt: split on a vertex-set pivot σ with σ ∉ Δ and σ ⊊ V:
           χ̃(Δ) = χ̃(Δ⊖∁σ) + χ̃(Δ∪pows σ)
@@ -49,7 +50,7 @@ from .core import (
     _independent_pair_masked,
     _independent_parts_masked,
     _nerve_facets,
-    add_facet_closure,
+    _packed,
     as_face,
 )
 from .errors import InputError, checked_add, checked_mul
@@ -373,10 +374,10 @@ def _select_dbms_masked(alive, facets, planes, strategy, key):
 
 
 def _split_dbms_masked(facets, idx):
-    """dbms split on σ = facets[idx]: facets of (Δ, Δ⊖∁σ), the latter on σ."""
+    """dbms split on σ = facets[idx]: (facets of Δ, facets of Δ⊖∁σ on σ, -1)."""
     sigma = facets[idx]
     rest = facets[:idx] + facets[idx + 1 :]
-    return rest, maximal_sets([t & sigma for t in rest])
+    return rest, maximal_sets([t & sigma for t in rest]), -1
 
 
 def _hash_deletion(keep, cut):
@@ -413,8 +414,9 @@ def _hash_deletion(keep, cut):
 
 
 def _split_bcrt_masked(alive, facets, sigma):
-    """bcrt split on σ ⊆ alive: the facets of Δ⊖∁σ on σ and, when ∁σ is one
-    vertex e, those of lk e in the facets' order (so sorted too), else None.
+    """bcrt split on σ ⊆ alive: (facets of Δ⊖∁σ on σ, second, sign).  When
+    ∁σ is one vertex e, second is lk e in the facets' order (so sorted too)
+    and sign -1; else it is the closure Δ∪pows σ and sign +1.
 
     lk e's facets are the cut sets f∖e of the facets f ∋ e, an antichain
     since f∖e ⊆ f′∖e would give f ⊆ f′.  The deletion is maximal_sets of
@@ -423,7 +425,7 @@ def _split_bcrt_masked(alive, facets, sigma):
     _hash_deletion may build it."""
     ebit = alive & ~sigma
     if ebit & (ebit - 1):  # popgcd's σ can miss several vertices
-        return maximal_sets([f & sigma for f in facets]), None
+        return maximal_sets([f & sigma for f in facets]), _closure_facets(facets, sigma), 1
     keep = [f for f in facets if not f & ebit]
     cut = [f ^ ebit for f in facets if f & ebit]
     inner = None
@@ -431,7 +433,7 @@ def _split_bcrt_masked(alive, facets, sigma):
         inner = _hash_deletion(keep, cut)
     if inner is None:
         inner = maximal_sets(keep + cut)
-    return inner, cut
+    return inner, cut, -1
 
 
 # ---------------------------------------------------------------------------
@@ -543,22 +545,17 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
         todo.append((_ADD, tkey, sign))
         if dbms:
             idx = _select_dbms_masked(alive, facets, planes, strategy, key)
-            rest, inner = _split_dbms_masked(facets, idx)
-            assert len(rest) < m and len(inner) < m
-            todo.append((_NODE, inner, _child_key(key, 1), -sign))
-            todo.append((_NODE, rest, _child_key(key, 0), sign))
+            first, second, s = _split_dbms_masked(facets, idx)
+            assert len(first) < m and len(second) < m
         else:
             sigma = _select_bcrt_masked(alive, facets, planes, strategy, key)
             # termination needs σ ⊊ V and σ ∉ Δ: the deletion branch loses a
             # vertex, the link loses e and the facets without it, and the
             # union branch gains the new face σ
             assert sigma != alive and all(sigma & ~f for f in facets)
-            inner, link = _split_bcrt_masked(alive, facets, sigma)
-            if link is None:
-                todo.append((_NODE, _closure_facets(facets, sigma), _child_key(key, 1), sign))
-            else:
-                todo.append((_NODE, link, _child_key(key, 1), -sign))
-            todo.append((_NODE, inner, _child_key(key, 0), sign))
+            first, second, s = _split_bcrt_masked(alive, facets, sigma)
+        todo.append((_NODE, second, _child_key(key, 1), s * sign))
+        todo.append((_NODE, first, _child_key(key, 0), sign))
 
     stats.elapsed = time.perf_counter() - t0
     return vals.pop(), stats
@@ -574,8 +571,7 @@ def simplify(cx: Complex):
     Returns (complex, sign) with sign·χ̃(result) = χ̃(input); a wide sparse
     input is re-packed first, as every node is in euler()."""
     alive, facets, _, sign, _ = _simplify_masked(_narrowed(cx.facets))
-    k, packed = compress_columns(alive, facets)
-    return Complex(k, tuple(packed)), sign
+    return _packed(alive, facets), sign
 
 
 def try_base_case(cx: Complex) -> Optional[int]:
@@ -624,15 +620,13 @@ def split_bcrt(cx: Complex, sigma):
     # non-void Δ non-emptiness already follows from σ ∉ Δ)
     if not s or s == mask(cx.n) or not all(s & ~f for f in cx.facets):
         raise InputError("a bcrt pivot must be a non-empty proper subset of V and not a face")
-    inner, _ = _split_bcrt_masked(reduce(or_, cx.facets, 0), cx.facets, s)
-    k, packed = compress_columns(s, inner)
-    return Complex(k, tuple(packed)), add_facet_closure(cx, s)
+    inner = _split_bcrt_masked(reduce(or_, cx.facets, 0), cx.facets, s)[0]
+    return _packed(s, inner), Complex(cx.n, tuple(_closure_facets(cx.facets, s)))
 
 
 def split_dbms(cx: Complex, facet_index: int):
     """(closure(facets∖{σ}), that closure ⊖ ∁σ); χ̃(Δ) = first - second."""
     if not 0 <= facet_index < len(cx.facets) or len(cx.facets) < 2:
         raise InputError("a dbms split needs at least two facets and 0 <= index < m")
-    rest, inner = _split_dbms_masked(cx.facets, facet_index)
-    k, packed = compress_columns(cx.facets[facet_index], inner)
-    return Complex(cx.n, rest), Complex(k, tuple(packed))
+    rest, inner, _ = _split_dbms_masked(cx.facets, facet_index)
+    return Complex(cx.n, rest), _packed(cx.facets[facet_index], inner)

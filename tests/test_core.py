@@ -5,7 +5,6 @@ from eulerchar import (
     Complex,
     InputError,
     add_facet_closure,
-    codisjoint,
     euler_by_subsets,
     find_independent_pair,
     is_cone,
@@ -120,7 +119,7 @@ def test_add_facet_closure_examples():
     assert add_facet_closure(cx(2), ()) == Complex(2, (0,))
 
 
-# --- is_cone / codisjoint --------------------------------------------------
+# --- is_cone ---------------------------------------------------------------
 
 
 def test_is_cone_examples():
@@ -128,12 +127,6 @@ def test_is_cone_examples():
     assert is_cone(cx(3, {0, 1}, {1, 2}, {0, 2})) is None
     assert is_cone(Complex(1, (0,))) is None
     assert is_cone(cx(3)) is None
-
-
-def test_codisjoint_examples():
-    assert codisjoint({0, 1, 2}, {1, 2, 3}, 4)
-    assert not codisjoint({0}, {1}, 3)
-    assert codisjoint({0, 1}, (), 2)
 
 
 # --- nerve -----------------------------------------------------------------

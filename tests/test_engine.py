@@ -276,13 +276,23 @@ def test_split_bcrt_example():
 
 
 def test_split_bcrt_identity_exhaustive():
+    # the public split and the engine's (first, second, sign) on every valid
+    # σ, multi-vertex ones (closure child, sign +1) included
     for c in all_complexes(4):
         base = euler_by_subsets(c)
+        alive = reduce(or_, c.facets, 0)
         for s in range(1, mask(c.n)):
             if any(s & ~f == 0 for f in c.facets):
                 continue
             d, u = split_bcrt(c, s)
             assert euler_by_subsets(d) + euler_by_subsets(u) == base, (c, s)
+            first, second, sign = engine._split_bcrt_masked(alive, list(c.facets), s)
+            assert sign == (-1 if (alive & ~s).bit_count() <= 1 else 1), (c, s)
+            assert first == sorted(first) and second == sorted(second), (c, s)
+            if sign == 1:
+                assert tuple(second) == u.facets, (c, s)
+            parts = [euler_by_subsets(Complex(c.n, tuple(x))) for x in (first, second)]
+            assert parts[0] + sign * parts[1] == base, (c, s)
 
 
 def test_vertex_split_is_deletion_plus_link(rng, monkeypatch):
@@ -307,7 +317,8 @@ def test_vertex_split_is_deletion_plus_link(rng, monkeypatch):
             cut = [f.bit_count() - 1 for f in c.facets if f & ebit]
             if keep:
                 seen.add("pure" if pure else min(max(keep) - min(cut), 3))
-            inner, link = engine._split_bcrt_masked(alive, list(c.facets), sigma)
+            inner, link, sign = engine._split_bcrt_masked(alive, list(c.facets), sigma)
+            assert sign == -1, (c, e)
             assert inner == maximal_sets([f & sigma for f in c.facets]), (c, e)
             assert link == sorted(link), (c, e)
             union = euler_by_subsets(add_facet_closure(c, sigma))
@@ -351,6 +362,7 @@ def test_split_dbms_example():
 
 
 def test_split_dbms_identity_exhaustive():
+    # the public split and the engine's (first, second, sign) on every facet
     for c in all_complexes(4):
         if c.num_facets < 2:
             continue
@@ -358,6 +370,10 @@ def test_split_dbms_identity_exhaustive():
         for idx in range(c.num_facets):
             rest, deleted = split_dbms(c, idx)
             assert euler_by_subsets(rest) - euler_by_subsets(deleted) == base, (c, idx)
+            first, second, sign = engine._split_dbms_masked(list(c.facets), idx)
+            assert sign == -1 and tuple(first) == rest.facets, (c, idx)
+            parts = [euler_by_subsets(Complex(c.n, tuple(x))) for x in (first, second)]
+            assert parts[0] + sign * parts[1] == base, (c, idx)
 
 
 # --- engine ------------------------------------------------------------------
@@ -405,6 +421,23 @@ def test_large_join_splits_into_factors():
         value, stats = euler(cx, EngineConfig(algorithm=alg))
         assert value == k, alg
         assert stats.nodes_expanded < 1000, (alg, stats.nodes_expanded)
+        assert stats.independence_splits > 0, alg
+
+
+def test_cone_over_a_large_join_splits_before_its_terminal_step():
+    # an apex in every facet of a 30-block join: 90 facets, too many for the
+    # table, so the node takes the join split and the cone lands in a factor.
+    # The apex lies in no facet complement, so a split kernel that gives each
+    # complement component its own factor would drop it (and return 2^30)
+    from eulerchar.reductions import _power_block
+
+    block = _power_block(30)
+    apex = 1 << block.n
+    c = Complex(block.n + 1, tuple(sorted(f | apex for f in block.facets)))
+    assert c.num_facets == 90
+    for alg in ("dbms", "bcrt"):
+        value, stats = euler(c, EngineConfig(algorithm=alg))
+        assert value == 0, alg
         assert stats.independence_splits > 0, alg
 
 
