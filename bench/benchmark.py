@@ -2,16 +2,19 @@
 """Benchmark harness: compare algorithms and pivot strategies on the
 generated families, reporting median wall time, node counts, abundant-vertex
 eliminations (one per missing facet dropped by simplification), subproblem
-table hits (subtrees the table saved) and independence splits (nodes too
-large for the table that split into independent factors).
+table hits (subtrees the table saved), independence splits (nodes too
+large for the table that split into independent factors) and sum splits
+(nodes too large for the table that split into vertex-disjoint parts).
 
 With --json PATH the rows also go to PATH as one JSON document: per
-instance and configuration χ̃, counters(), cache_hits, cache_evictions,
-relabelled_keys (table lookups made under a degree-relabelled copy), the
-median seconds, the median in reference seconds and the process's peak RSS
-so far (ru_maxrss, KB; rows run in the order listed, so each row's figure
-covers the rows before it), plus the Python version, the usable CPU count
-and the git commit of the checkout.  Every timed run sits between two runs
+instance and configuration χ̃, counters(), sum_splits, cache_hits,
+cache_evictions, relabelled_keys (table lookups made under a
+degree-relabelled copy), the median seconds, the median in reference seconds
+and the process's peak RSS so far (ru_maxrss, KB; rows run in the order
+listed, so each row's figure covers the rows before it), plus the Python
+version, the usable CPU count, the git commit of the checkout and whether
+the checkout has uncommitted changes or untracked files (dirty; None outside
+git).  Every timed run sits between two runs
 of perfbench/run.py's calibration loop, which scales it to reference seconds
 (see that file): the seconds the run would take on a host where the loop
 takes its reference time, so points from different hosts and hours compare.
@@ -78,10 +81,12 @@ def run_one(cx, cfg, repeat, perf):
     return value, stats, statistics.median(times), statistics.median(refs)
 
 
-def git_commit():
+def git(args):
+    """Stripped stdout of a git command run in this checkout, or None outside
+    git."""
     try:
         done = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             cwd=os.path.dirname(os.path.abspath(__file__)),
             capture_output=True,
             text=True,
@@ -124,7 +129,7 @@ def main(argv=None):
     perf = load_perfbench()
     print(
         f"{'instance':>18} {'n':>5} {'m':>7}  {'config':<18} {'chi':>8} {'nodes':>9} "
-        f"{'elims':>9} {'hits':>7} {'splits':>7} {'median_s':>9}"
+        f"{'elims':>9} {'hits':>7} {'splits':>7} {'sums':>5} {'median_s':>9}"
     )
     rows = []
     for spec_text, cx in instances:
@@ -142,7 +147,7 @@ def main(argv=None):
                     f"{spec_text:>18} {cx.n:>5} {cx.num_facets:>7}  "
                     f"{alg + '/' + piv:<18} {value:>8} {stats.nodes_expanded:>9} "
                     f"{stats.abundant_eliminations:>9} {stats.cache_hits:>7} "
-                    f"{stats.independence_splits:>7} {med:>9.3f}",
+                    f"{stats.independence_splits:>7} {stats.sum_splits:>5} {med:>9.3f}",
                     flush=True,
                 )
                 rows.append(
@@ -153,6 +158,7 @@ def main(argv=None):
                         "nerve": args.nerve,
                         "chi": value,
                         "counters": stats.counters(),
+                        "sum_splits": stats.sum_splits,
                         "cache_hits": stats.cache_hits,
                         "cache_evictions": stats.cache_evictions,
                         "relabelled_keys": stats.relabelled_keys,
@@ -163,10 +169,12 @@ def main(argv=None):
                     }
                 )
     if args.json:
+        status = git(["status", "--porcelain"])  # one line per changed or untracked path
         doc = {
             "python": platform.python_version(),
             "nproc": len(os.sched_getaffinity(0)),
-            "git_commit": git_commit(),
+            "git_commit": git(["rev-parse", "HEAD"]),
+            "dirty": None if status is None else status != "",
             "rows": rows,
         }
         with open(args.json, "w") as out:

@@ -75,6 +75,7 @@ def _cmd_euler(args) -> int:
         def solve():
             value, stats = engine.euler(cx, cfg)
             counters = stats.counters()
+            counters["sum_splits"] = stats.sum_splits
             counters["cache_hits"] = stats.cache_hits
             counters["cache_evictions"] = stats.cache_evictions
             counters["relabelled_keys"] = stats.relabelled_keys

@@ -9,6 +9,7 @@ to share between threads.
 """
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterable, Optional, Union
 
 from ._bitops import (
@@ -170,6 +171,28 @@ def _independent_parts_masked(alive, facets, a, b):
     for f in facets:
         (fa if alive & ~f & ~a == 0 else fb).append(f)
     return sorted(f & a for f in fa), sorted(f & b for f in fb)
+
+
+def _sum_parts_masked(alive, facets):
+    """The facets (not empty, their union alive) split into vertex-connected
+    parts, or None for one part.  A reach grows from facets[0] by sweeps until
+    it covers alive; each sweep visits every isqrt(m)-th facet first, since in
+    sorted order the top vertices come last."""
+    parts = []
+    while True:
+        reach, grown = facets[0], 0
+        while grown != reach != alive:
+            grown = reach
+            for f in facets[:: isqrt(len(facets))] + facets:
+                if f & reach:
+                    reach |= f
+                    if reach == alive:
+                        break
+        if reach == alive:
+            return parts + [facets] if parts else None
+        parts.append([f for f in facets if f & reach])
+        facets = [f for f in facets if not f & reach]
+        alive ^= reach
 
 
 def find_independent_pair(cx: Complex):

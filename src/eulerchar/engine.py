@@ -11,18 +11,19 @@ child, a second child and a sign, χ̃ = χ̃(first) + sign·χ̃(second):
 * dbms: split on a facet σ:  χ̃(D) = χ̃(Δ) - χ̃(Δ⊖∁σ)  with
           Δ = closure(facets∖{σ})
 
-Every node (the root, split children and join factors alike) is re-packed on
-entry onto its live vertices if its stored width far exceeds their count.  It
-is then simplified: unused vertices are dropped, and each pass eliminates all
-of its abundant vertices in one batch, with one sign flip per missing facet
-and one maximal_sets (see _simplify_masked for why that equals eliminating
-them one at a time).  It is split into independent factors Δ_A ⊕ Δ_B (whose
-χ̃ multiply) if it is too large for the table below, and possibly replaced
-by its nerve.  Its terminal step then scores void, {∅} and a cone, and
-solves any other node of at most _LEAF_FACETS facets as a leaf: its χ̃ is
-summed in one pass over its facet intersections (_lattice_masked), the
-complements of the lcms in the paper's inclusion-exclusion.  Any other node
-goes on to a pivot split.
+Every node (the root and every child alike) is re-packed on entry onto its
+live vertices if its stored width far exceeds their count.  It is then
+simplified: unused vertices are dropped, and each pass eliminates all of its
+abundant vertices in one batch, with one sign flip per missing facet and one
+maximal_sets (see _simplify_masked for why that equals eliminating them one
+at a time).  If too large for the table below, it is split into independent
+factors Δ_A ⊕ Δ_B (whose χ̃ multiply) or else into k ≥ 2 vertex-disjoint
+parts (whose χ̃ add, plus k - 1).  Otherwise it is possibly replaced by its
+nerve, and its terminal step scores void, {∅} and a cone, and solves any
+other node of at most _LEAF_FACETS facets as a leaf: its χ̃ is summed in one
+pass over its facet intersections (_lattice_masked), the complements of the
+lcms in the paper's inclusion-exclusion.  Any other node goes on to a pivot
+split.
 
 A node small enough for the table (at most _TABLE_KEY_FACETS facets) that
 reaches its pivot split is first looked up in a subproblem table that lives
@@ -51,6 +52,7 @@ from .core import (
     _independent_parts_masked,
     _nerve_facets,
     _packed,
+    _sum_parts_masked,
     as_face,
 )
 from .errors import InputError, checked_add, checked_mul
@@ -70,9 +72,9 @@ _COMPRESS_RATIO = 3
 # every size piles keys up along a deep bcrt stack (655,497 facets at once on
 # rook-8-8, +19 MB peak RSS), and on the golden families large keys repeat so
 # rarely that they mostly push small, often repeated ones out of the table.
-# It is also the split threshold: only a larger node tries the
-# independent-pair split, so small nodes rely on the table (which finds the
-# repeats a split would expose) and large joins split until it can key them.
+# It is also the threshold of both splits: only a larger node tries the join
+# and then the sum split, so small nodes rely on the table (which finds the
+# repeats a split would expose) and large ones split until it can key them.
 _TABLE_KEY_FACETS = 64
 # the table holds keys of at most this many facets in total; a store that
 # would pass it evicts the oldest entries first (deterministic, so the
@@ -148,9 +150,9 @@ class EngineStats:
     nerve_applications: int = 0
     abundant_eliminations: int = 0
     independence_splits: int = 0
-    # subproblem-table traffic; not in counters(), whose five keys the
-    # benchmark sums
-    cache_hits: int = 0
+    # not in counters(), whose five keys the benchmark sums
+    sum_splits: int = 0  # nodes split into vertex-disjoint parts
+    cache_hits: int = 0  # subproblem-table traffic
     cache_evictions: int = 0
     relabelled_keys: int = 0  # lookups made under _iso_facets
     elapsed: float = 0.0
@@ -168,7 +170,7 @@ class EngineStats:
 
 # ---------------------------------------------------------------------------
 # node pipeline pieces, shared by the stack machine and the public operations
-# (the nerve and independence split kernels live in core, the vertex counts in _bitops)
+# (the nerve and both split kernels live in core, the vertex counts in _bitops)
 # ---------------------------------------------------------------------------
 
 
@@ -498,6 +500,13 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
                 todo.append((_MUL,))
                 todo.append((_NODE, fb, _child_key(key, 3), 1))
                 todo.append((_NODE, fa, _child_key(key, 2), sign))
+                continue
+            parts = _sum_parts_masked(alive, facets)  # χ̃(A ⊔ B) = χ̃(A) + χ̃(B) + 1
+            if parts is not None:
+                stats.sum_splits += 1
+                vals.append((len(parts) - 1) * sign)
+                for i, part in enumerate(parts):
+                    todo += (_ADD, None, 1), (_NODE, part, _child_key(key, 4 + i), sign)
                 continue
 
         m = len(facets)

@@ -27,14 +27,19 @@ def bench_json(tmp_path, *args):
 
 def test_benchmark_writes_json(tmp_path):
     doc = bench_json(tmp_path)
-    assert {"python", "nproc", "git_commit", "rows"} <= set(doc)
+    assert {"python", "nproc", "git_commit", "dirty", "rows"} <= set(doc)
     assert doc["nproc"] >= 1
+    # dirty says whether the checkout differs from git_commit; outside git
+    # there is neither
+    assert doc["dirty"] in (True, False, None)
+    assert (doc["dirty"] is None) == (doc["git_commit"] is None)
     # every strategy of both algorithms, one row each
     assert len(doc["rows"]) == 11
     for row in doc["rows"]:
         assert row["instance"] == "rook:3,3" and row["chi"] == -4
         assert set(row["counters"]) == COUNTERS
-        for key in ("cache_hits", "cache_evictions", "relabelled_keys", "ru_maxrss_kb"):
+        for key in ("sum_splits", "cache_hits", "cache_evictions", "relabelled_keys",
+                    "ru_maxrss_kb"):
             assert isinstance(row[key], int), key
         assert row["median_s"] >= 0
         # the same runs scaled by perfbench's calibration loop

@@ -147,6 +147,7 @@ def test_euler_stats_line_is_json(tmp_path, capsys):
     assert lines[0] == "-1"
     stats = json.loads(lines[1])
     assert stats["nodes_expanded"] >= 1
+    assert stats["sum_splits"] == stats["independence_splits"] == 0
     assert stats["cache_hits"] == stats["cache_evictions"] == stats["relabelled_keys"] == 0
     assert "elapsed" not in stats  # deterministic stdout; timing goes to stderr
     assert "elapsed median" in err
@@ -324,9 +325,11 @@ def test_wide_sparse_root_is_narrowed_before_simplify(monkeypatch):
         return simplify_masked(facets)
 
     monkeypatch.setattr(engine, "_simplify_masked", recording)
-    for alg, nodes in (("dbms", 1011), ("bcrt", 1009)):
+    for alg in ("dbms", "bcrt"):
+        # the root's 513 facets fall into 512 vertex-disjoint parts (the wide
+        # facet meets the first short one), each a simplex: one sum split
         value, stats = euler(cx, EngineConfig(algorithm=alg))
-        assert (value, stats.nodes_expanded) == (511, nodes), alg
+        assert (value, stats.nodes_expanded, stats.sum_splits) == (511, 513, 1), alg
     out, sign = simplify(cx)
     assert sign * euler(out)[0] == 511
     assert max(widths) < 4096

@@ -12,6 +12,7 @@ from eulerchar import (
     euler,
     euler_by_inclusion_exclusion,
     euler_by_subsets,
+    f_vector,
     is_cone,
     make_complex,
     nerve,
@@ -27,7 +28,7 @@ from eulerchar._bitops import count_planes, iter_bits, mask, maximal_sets
 from eulerchar.engine import BCRT_PIVOTS, DBMS_PIVOTS
 from eulerchar.generators import generate, parse_spec
 
-from conftest import all_complexes, random_complex
+from conftest import all_complexes, flipped, interleaved_union, random_complex
 
 
 def cx(n, *faces):
@@ -441,6 +442,55 @@ def test_cone_over_a_large_join_splits_before_its_terminal_step():
         assert stats.independence_splits > 0, alg
 
 
+def test_points_split_into_one_part_each_above_the_table_size():
+    # 100 isolated points: no join, so the root takes one 100-part sum split,
+    # each part a single point (a cone), and χ̃ = 0·100 + 99.  64 points fit
+    # the table, so they go through pivot splits instead
+    from eulerchar.reductions import _points
+
+    for alg in ("dbms", "bcrt"):
+        value, stats = euler(_points(100), EngineConfig(algorithm=alg))
+        assert (value, stats.sum_splits) == (99, 1), alg
+        assert (stats.nodes_expanded, stats.base_case_hits) == (101, {"cone": 100}), alg
+        value, stats = euler(_points(64), EngineConfig(algorithm=alg))
+        assert (value, stats.sum_splits) == (63, 0), alg
+
+
+def test_disjoint_union_is_the_sum_plus_parts_less_one(rng):
+    # three parts of 18, 18 and 30 facets on 19 vertices: too many facets for
+    # the table, no join, so the root splits into its three parts (once
+    # simplified, at sign -1, in the flipped copy)
+    for trial in range(4):
+        parts = [
+            make_complex(n, rng.sample(list(combinations(range(n), 3)), m))
+            for n, m in ((6, 18), (6, 18), (7, 30))
+        ]
+        union = interleaved_union(rng, parts)
+        want = sum(euler_by_subsets(p) for p in parts) + 2
+        assert f_vector(union).euler == want
+        for alg in ("dbms", "bcrt"):
+            for c, sign in ((union, 1), (flipped(union), -1)):
+                value, stats = euler(c, EngineConfig(algorithm=alg))
+                assert value == sign * want, (trial, alg, sign)
+                assert stats.sum_splits == 1, (trial, alg, sign)
+    assert euler_by_subsets(union) == want
+
+
+def test_disjoint_union_of_joins_splits_once():
+    # complex_with_euler's union of power blocks and its correction gadget
+    # (5,625 facets): the root splits into its parts, which are joins; pivot
+    # splits alone took 71,861 nodes under dbms and did not finish in minutes
+    # under bcrt.  The node count is pinned, not a time
+    from eulerchar.reductions import complex_with_euler
+
+    k = 2**62 - 12345
+    cx = complex_with_euler(k)
+    for alg in ("dbms", "bcrt"):
+        value, stats = euler(cx, EngineConfig(algorithm=alg))
+        assert value == k, alg
+        assert (stats.nodes_expanded, stats.sum_splits) == (3490, 1), alg
+
+
 def test_engine_allocates_nothing_universe_sized():
     # two facets on a 2^28-vertex universe: the engine works on the live
     # vertices only and never builds an n-bit mask
@@ -546,7 +596,7 @@ def test_table_eviction_changes_no_value(monkeypatch):
 
 def test_counters_keep_their_five_keys():
     # the benchmark (perfbench/run.py) sums exactly these keys per pass;
-    # cache_hits and cache_evictions are EngineStats fields outside them
+    # sum_splits and the table's counts are EngineStats fields outside them
     _, stats = euler(generate(parse_spec("match:9")), EngineConfig(algorithm="bcrt"))
     assert set(stats.counters()) == {
         "nodes_expanded",
@@ -559,7 +609,7 @@ def test_counters_keep_their_five_keys():
 
 # (spec, algorithm, χ̃, nodes, eliminations, nerves, base-case hits, table
 # hits, evictions, relabelled lookups) under the algorithm's default pivot, or
-# the one named after a slash, with no independence split anywhere: a change
+# the one named after a slash, with no join or sum split anywhere: a change
 # to the node pipeline that keeps every value but changes the search shows
 # here first
 PINNED_SEARCHES = [
@@ -598,7 +648,7 @@ def _search(spec, alg):
     alg, _, pivot = alg.partition("/")
     value, stats = euler(generate(parse_spec(spec)), EngineConfig(algorithm=alg, pivot=pivot or None))
     c = stats.counters()
-    assert c["independence_splits"] == 0
+    assert c["independence_splits"] == stats.sum_splits == 0
     return (value, c["nodes_expanded"], c["abundant_eliminations"], c["nerve_applications"],
             c["base_case_hits"], stats.cache_hits, stats.cache_evictions, stats.relabelled_keys)
 

@@ -2,8 +2,9 @@
 
 No oracle reaches these sizes, so every value is checked against relations
 that must hold between runs: both algorithms under every pivot strategy,
-nerve on and off, a vertex relabelling, the nerve, the negation gadget and
-the join product, and against the alternating sum of the face counts.  The join is where both algorithms hit the subproblem
+nerve on and off, a vertex relabelling, the nerve, the negation gadget, the
+join product and the disjoint-union sum, and against the alternating sum of
+the face counts.  The join is where both algorithms hit the subproblem
 table; a wrong table key gives wrong values only on complexes this large,
 which is what this suite is for.
 
@@ -19,8 +20,8 @@ recursion χ̃(Δ) = χ̃(Δ∖e) - χ̃(lk e), bcrt's single-vertex split, is c
 between dbms runs on sparse and dense complexes.
 
 Time budget: about 22 s on 2 cores in all, of which the #SAT cases take
-about 10 s (4.6 s for the 40-variable one), the dense ones about 1.5 s and
-the vertex recursion about 1 s.
+about 10 s (4.6 s for the 40-variable one), the dense ones about 1.5 s, the
+disjoint unions about 2 s and the vertex recursion about 1 s.
 """
 
 import random
@@ -41,10 +42,12 @@ from eulerchar.reductions import (
     sat_to_complex,
 )
 
+from conftest import flipped, interleaved_union
 from sharpsat import count_models
 
 SEEDS = range(24)
 DENSE_SEEDS = range(12)
+UNION_SEEDS = range(12)
 # (variables, seed) of 3-CNFs at clause ratio 4.2; these seeds give formulas
 # with 1-333 models, since an unsatisfiable one only checks χ̃ = 0
 SAT_CASES = [(25, 0), (25, 2), (30, 1), (30, 2), (35, 0), (40, 0)]
@@ -115,6 +118,27 @@ def test_relations_agree_above_oracle_range(seed, monkeypatch):
         assert got == want * k, (seed, k, cfg)
         hits[cfg.algorithm] += stats.cache_hits
     assert hits["dbms"] > 0 and hits["bcrt"] > 0, hits
+
+
+@pytest.mark.parametrize("seed", UNION_SEEDS)
+def test_disjoint_union_adds_above_oracle_range(seed):
+    # χ̃(A ⊔ B ⊔ C) = χ̃(A) + χ̃(B) + χ̃(C) + 2 on three sparse complexes whose
+    # vertices interleave in one universe: more facets than the table keys,
+    # so the engine takes the sum split and solves each part on its own
+    rng = random.Random(2000 + seed)
+    parts = [sparse_complex(rng, (30, 60), (25, 60)) for _ in range(3)]
+    union = interleaved_union(rng, parts)
+    assert union.num_facets > engine._TABLE_KEY_FACETS
+    want = sum(value(p) for p in parts) + 2
+    for nv in (True, False):
+        for cfg in all_configs(seed, use_nerve=nv):
+            got, stats = euler(union, cfg)
+            assert got == want, (seed, cfg)
+            assert stats.sum_splits >= 1, (seed, cfg)
+    # simplify takes the flipped copy's apex, so there the sum split runs on
+    # a node of sign -1
+    for alg in ("dbms", "bcrt"):
+        assert value(flipped(union), algorithm=alg) == -want, (seed, alg)
 
 
 @pytest.mark.parametrize("seed", DENSE_SEEDS)
