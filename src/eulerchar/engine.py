@@ -11,18 +11,21 @@ child, a second child and a sign, χ̃ = χ̃(first) + sign·χ̃(second):
 * dbms: split on a facet σ:  χ̃(D) = χ̃(Δ) - χ̃(Δ⊖∁σ)  with
           Δ = closure(facets∖{σ})
 
-Every node (the root and every child alike) is re-packed on entry onto its
-live vertices if its stored width far exceeds their count.  It is then
-simplified: unused vertices are dropped, and each pass eliminates all of its
-abundant vertices in one batch, with one sign flip per missing facet and one
-maximal_sets (see _simplify_masked for why that equals eliminating them one
-at a time).  If too large for the table below, it is split into independent
-factors Δ_A ⊕ Δ_B (whose χ̃ multiply) or else into k ≥ 2 vertex-disjoint
-parts (whose χ̃ add, plus k - 1).  Otherwise it is possibly replaced by its
-nerve, and its terminal step scores void, {∅} and a cone, and solves any
-other node of at most _LEAF_FACETS facets as a leaf: its χ̃ is summed in one
-pass over its facet intersections (_lattice_masked), the complements of the
-lcms in the paper's inclusion-exclusion.  Any other node goes on to a pivot
+The terminal step scores void, {∅} and a cone (a vertex in every facet),
+and solves any other node of at most _LEAF_FACETS facets as a leaf: its χ̃
+is summed in one pass over its facet intersections (_lattice_masked), the
+complements of the lcms in the paper's inclusion-exclusion.  None of this
+needs simplified facets, so a node (the root and every child alike) that
+arrives with at most _LEAF_FACETS facets goes to the terminal step at once.
+A larger node is re-packed on entry onto its live vertices if its stored
+width far exceeds their count.  It is then simplified: unused vertices are
+dropped, and each pass eliminates all of its abundant vertices in one batch,
+with one sign flip per missing facet and one maximal_sets (see
+_simplify_masked for why that equals eliminating them one at a time).  If
+too large for the table below, it is split into independent factors
+Δ_A ⊕ Δ_B (whose χ̃ multiply) or else into k ≥ 2 vertex-disjoint parts
+(whose χ̃ add, plus k - 1).  Otherwise it is possibly replaced by its nerve
+and tried at the terminal step again, and any node left goes on to a pivot
 split.
 
 A node small enough for the table (at most _TABLE_KEY_FACETS facets) that
@@ -39,7 +42,7 @@ bounded regardless of instance size, and all randomness is derived from
 import time
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import or_
+from operator import and_, or_
 from typing import Optional
 
 from ._bitops import (
@@ -89,7 +92,8 @@ _TABLE_FACETS = 1 << 14
 _ISO_BITS = 128
 # A node of at most _LEAF_FACETS facets that is not void, {∅} or a cone is
 # solved in one pass over its facet intersections (_lattice_masked) instead of
-# by pivot splits.  That pass keeps at most 2^m distinct intersections, so a
+# by pivot splits, as it arrives or after simplify and the nerve, whichever
+# comes first.  That pass keeps at most 2^m distinct intersections, so a
 # leaf's cost stays bounded; merged by equal intersection the leaves keep a
 # median of 13 (match-10, rook-6-6 under bcrt) to 21 (nicgraph-7-2 under
 # bcrt), and 33 on random:40,45.  At 12, random-antichain wall fell further
@@ -246,23 +250,23 @@ def _narrowed(facets):
     return facets
 
 
-def _base_case_masked(universe, facets, planes):
+def _base_case_masked(facets):
     """The terminal step, tried in order.  Returns (value, kind) or None.
 
-    universe is the union of the facets and planes count them.  Void, {∅}
-    and a cone (a vertex in all m facets) have fixed values; any other node
-    of at most _LEAF_FACETS facets is a leaf, solved by _lattice_masked.
-    None is left for a non-cone of more facets, which goes on to a split.
+    Void, {∅} and a cone (a vertex in all m facets) have fixed values; any
+    other node of at most _LEAF_FACETS facets is a leaf, solved by
+    _lattice_masked.  None is left for a non-cone of more facets, which goes
+    on to a split.  No step needs simplified facets.
     """
     m = len(facets)
     if m == 0:
         return 0, "void"
     if m == 1 and facets[0] == 0:
         return -1, "empty_face"
-    if count_is(planes, universe, m):
+    if reduce(and_, facets):
         return 0, "cone"
     if m <= _LEAF_FACETS:
-        return _lattice_masked(universe, facets), "lattice"
+        return _lattice_masked(reduce(or_, facets), facets), "lattice"
     return None
 
 
@@ -487,6 +491,12 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
 
         _, facets, key, sign = item
         stats.nodes_expanded += 1
+        if len(facets) <= _LEAF_FACETS:
+            # the terminal step needs no re-pack, simplify or nerve first
+            value, kind = _base_case_masked(facets)
+            hits[kind] = hits.get(kind, 0) + 1
+            vals.append(value * sign)
+            continue
         alive, facets, planes, flip, elim = _simplify_masked(_narrowed(facets))
         sign *= flip
         stats.abundant_eliminations += elim
@@ -521,7 +531,7 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
             assert (len(facets) < m) if dbms else (alive.bit_length() < nu)
             m = len(facets)
 
-        bc = _base_case_masked(alive, facets, planes)
+        bc = _base_case_masked(facets)
         if bc is not None:
             value, kind = bc
             hits[kind] = hits.get(kind, 0) + 1
@@ -584,12 +594,12 @@ def simplify(cx: Complex):
 
 
 def try_base_case(cx: Complex) -> Optional[int]:
-    """χ̃ from the engine's terminal step: 0 for void and for a cone, -1 for
-    {∅}, the leaf's value for any other complex of at most _LEAF_FACETS (8)
-    facets, and None for a non-cone of more facets.  The complex need not be
-    simplified first."""
-    planes = count_planes(cx.facets)
-    bc = _base_case_masked(reduce(or_, planes, 0), list(cx.facets), planes)
+    """χ̃ from the engine's terminal step, the one euler() takes on a node
+    as it arrives and again after simplify and the nerve: 0 for void and for
+    a cone, -1 for {∅}, the leaf's value for any other complex of at most
+    _LEAF_FACETS (8) facets, and None for a non-cone of more facets.  The
+    complex need not be simplified first."""
+    bc = _base_case_masked(list(cx.facets))
     return None if bc is None else bc[0]
 
 

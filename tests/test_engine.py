@@ -566,6 +566,50 @@ def test_blown_up_boundary_above_the_leaf(k):
             assert euler(c, cfg)[0] == want, cfg
 
 
+def _small_nodes(case, rng):
+    """(complexes of at most _LEAF_FACETS facets, their χ̃ from an oracle)."""
+    if case == "random":  # an unused vertex, and flipped's abundant apex
+        cases = []
+        while len(cases) < 40:
+            c = random_complex(rng, 8, 7)
+            if c.num_facets >= 2:
+                c = flipped(c)
+                cases.append(Complex(c.n + 1, c.facets))
+        return cases, [euler_by_subsets(c) for c in cases]
+    if case == "above_bit_4096":  # a triangle boundary, re-packed at the parent
+        c = cx(3, {0, 1}, {1, 2}, {0, 2})
+        return [Complex(4099, tuple(f << 4096 for f in c.facets))], [euler_by_subsets(c)]
+    if case == "large_nerve":
+        # one private vertex for each 4-subset of the 8 facets, so the nerve
+        # (which bcrt takes, 70 vertices > 8 facets) is the 3-skeleton of a
+        # simplex on 8 vertices: 70 facets, χ̃ = -1 + 8 - 28 + 56 - 70
+        quads = list(combinations(range(8), 4))
+        c = cx(70, *[{v for v, q in enumerate(quads) if i in q} for i in range(8)])
+        assert nerve(c).num_facets == 70 > engine._LEAF_FACETS
+        return [c], [euler_by_inclusion_exclusion(c)]
+    c = {"cone": cx(5, {0, 1, 2}, {0, 3}, {0, 4}),
+         "empty_face": Complex(1, (0,)),
+         "one_facet": cx(4, {0, 1, 3})}[case]
+    return [c], [euler_by_subsets(c)]
+
+
+@pytest.mark.parametrize(
+    "case", ["random", "cone", "empty_face", "one_facet", "above_bit_4096", "large_nerve"])
+def test_small_node_ends_at_entry(case, rng):
+    # a node of at most _LEAF_FACETS facets goes to the terminal step as it
+    # arrives: no elimination, no nerve and no child under any config
+    cases, wants = _small_nodes(case, rng)
+    for c, want in zip(cases, wants):
+        assert c.num_facets <= engine._LEAF_FACETS
+        assert try_base_case(c) == want, c
+        for cfg in all_configs():
+            value, stats = euler(c, cfg)
+            assert value == want, (c, cfg)
+            got = stats.counters()
+            assert (got["nodes_expanded"], got["abundant_eliminations"],
+                    got["nerve_applications"]) == (1, 0, 0), (c, cfg)
+
+
 # --- subproblem table ----------------------------------------------------------
 
 
@@ -613,33 +657,25 @@ def test_counters_keep_their_five_keys():
 # to the node pipeline that keeps every value but changes the search shows
 # here first
 PINNED_SEARCHES = [
-    ("rook:6,6", "dbms", 185, 1087, 31, 79,
-     {"cone": 26, "empty_face": 2, "lattice": 516}, 0, 0, 0),
-    ("rook:6,6", "bcrt", 185, 311, 13, 49,
-     {"cone": 21, "lattice": 55}, 80, 0, 99),
-    ("match:10", "dbms", -1216, 1539, 62, 1,
-     {"cone": 22, "empty_face": 42, "lattice": 706}, 0, 0, 0),
-    ("match:10", "bcrt", -1216, 491, 30, 42,
-     {"cone": 24, "empty_face": 11, "lattice": 81}, 130, 0, 166),
-    ("nicgraph:7,2", "dbms", -120, 1055, 1322, 9,
-     {"cone": 360, "empty_face": 50, "lattice": 115}, 3, 0, 3),
-    ("nicgraph:7,2", "bcrt", -120, 2021, 2486, 200,
-     {"cone": 584, "empty_face": 76, "lattice": 235}, 116, 183, 615),
-    ("match:11", "dbms", -936, 901, 70, 1,
-     {"cone": 29, "empty_face": 28, "lattice": 358}, 36, 0, 0),
-    ("rook:6,6", "dbms/rarest", 185, 947, 10, 44,
-     {"cone": 11, "lattice": 457}, 6, 0, 16),
+    ("rook:6,6", "dbms", 185, 1087, 0, 7, {"cone": 2, "lattice": 542}, 0, 0, 0),
+    ("rook:6,6", "bcrt", 185, 309, 0, 0, {"cone": 15, "lattice": 67}, 73, 0, 99),
+    ("match:10", "dbms", -1216, 1539, 0, 1, {"cone": 2, "lattice": 768}, 0, 0, 0),
+    ("match:10", "bcrt", -1216, 491, 0, 0, {"cone": 8, "lattice": 108}, 130, 0, 166),
+    ("nicgraph:7,2", "dbms", -120, 1055, 538, 9, {"cone": 226, "lattice": 299}, 3, 0, 3),
+    ("nicgraph:7,2", "bcrt", -120, 2021, 1132, 52,
+     {"cone": 464, "empty_face": 17, "lattice": 414}, 116, 183, 615),
+    ("match:11", "dbms", -936, 901, 0, 1, {"cone": 4, "lattice": 411}, 36, 0, 0),
+    ("rook:6,6", "dbms/rarest", 185, 947, 0, 2, {"cone": 1, "lattice": 467}, 6, 0, 16),
 ]
 
 # the rows whose search relabelled keys change, as they read with exact keys
 # alone (nodes, eliminations, nerves, base-case hits, table hits, evictions)
 EXACT_KEY_SEARCHES = {
-    ("rook:6,6", "bcrt"): (955, 155, 180, {"cone": 163, "lattice": 221}, 94, 0),
-    ("match:10", "bcrt"): (1223, 137, 215,
-                           {"cone": 72, "empty_face": 77, "lattice": 391}, 72, 0),
-    ("nicgraph:7,2", "bcrt"): (2563, 3380, 257,
-                               {"cone": 802, "empty_face": 83, "lattice": 366}, 31, 394),
-    ("rook:6,6", "dbms/rarest"): (995, 10, 51, {"cone": 11, "lattice": 487}, 0, 0),
+    ("rook:6,6", "bcrt"): (953, 0, 0, {"cone": 28, "lattice": 414}, 35, 0),
+    ("match:10", "bcrt"): (1223, 0, 0, {"cone": 32, "lattice": 508}, 72, 0),
+    ("nicgraph:7,2", "bcrt"): (2563, 1414, 62,
+                               {"cone": 604, "empty_face": 19, "lattice": 628}, 31, 394),
+    ("rook:6,6", "dbms/rarest"): (995, 0, 2, {"cone": 1, "lattice": 497}, 0, 0),
 }
 
 
