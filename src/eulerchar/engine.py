@@ -599,7 +599,7 @@ def try_base_case(cx: Complex) -> Optional[int]:
     a cone, -1 for {∅}, the leaf's value for any other complex of at most
     _LEAF_FACETS (8) facets, and None for a non-cone of more facets.  The
     complex need not be simplified first."""
-    bc = _base_case_masked(list(cx.facets))
+    bc = _base_case_masked(cx.facets)
     return None if bc is None else bc[0]
 
 
