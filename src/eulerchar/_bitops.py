@@ -4,15 +4,22 @@ A face / vertex set is a plain Python int used as a bit vector (bit i =
 element i).  CPython big ints already execute the word-level boolean ops in
 C, so these kernels keep the Python-level loop counts low: maximal_sets
 switches to a transposed incidence view for large batches, iter_bits scans
-an int byte by byte through a table, and _gather (behind compress_columns and
-the engine's relabelled table keys) picks bits from a set's binary string,
-where bit p is the character p places from the right.
+an int byte by byte through a table, transpose_rows reads each element's row
+from a byte column of the sets' byte matrix (about m × live byte columns of
+memory, built a chunk of sets at a time), and _gather (behind
+compress_columns and the engine's relabelled table keys) picks bits from a
+set's binary string, where bit p is the character p places from the right.
 """
 
-from itertools import groupby
-from operator import itemgetter
+from functools import reduce
+from itertools import groupby, repeat
+from operator import itemgetter, or_
 
 _BYTE_BITS = [tuple(b for b in range(8) if (v >> b) & 1) for v in range(256)]
+# transpose_rows reads bit b of a byte as the character _BIT_CHARS[b] (b"0"
+# or b"1"), and builds its byte matrix _TRANSPOSE_CHUNK sets at a time
+_BIT_CHARS = [bytes(48 + (v >> b & 1) for v in range(256)) for b in range(8)]
+_TRANSPOSE_CHUNK = 4096
 
 # batches larger than this use the transposed dominator check in maximal_sets
 _LARGE_BATCH = 512
@@ -36,18 +43,28 @@ def iter_bits(x):
 
 def transpose_rows(sets):
     """Incidence transpose: dict mapping element v to the bitmask of set
-    indices i with v in sets[i].  Only elements that occur are keyed."""
-    nbytes = (len(sets) + 7) >> 3
-    buf = {}
-    for i, s in enumerate(sets):
-        byte = i >> 3
-        bit = 1 << (i & 7)
-        for v in iter_bits(s):
-            b = buf.get(v)
-            if b is None:
-                b = buf[v] = bytearray(nbytes)
-            b[byte] |= bit
-    return {v: int.from_bytes(bytes(b), "little") for v, b in buf.items()}
+    indices i with v in sets[i].  Only elements that occur are keyed.
+    A chunk's byte matrix has one row per set, last set first, holding only
+    the union's live bytes when some are empty.  Bit b of byte column j,
+    translated to "0"/"1", spells the row of element 8j + b in base 2."""
+    union = reduce(or_, sets, 0)
+    stride = (union.bit_length() + 7) >> 3
+    live = union.to_bytes(stride, "little")
+    cols = [j for j, byte in enumerate(live) if byte]
+    width = len(cols)
+    rows = dict.fromkeys([8 * j + b for j in cols for b in _BYTE_BITS[live[j]]], 0)
+    for start in range(0, len(sets), _TRANSPOSE_CHUNK):
+        chunk = sets[start:start + _TRANSPOSE_CHUNK][::-1]
+        if width == stride:
+            mat = b"".join(map(int.to_bytes, chunk, repeat(stride), repeat("little")))
+        else:
+            mat = b"".join(bytes(map(s.to_bytes(stride, "little").__getitem__, cols))
+                           for s in chunk)
+        for k, j in enumerate(cols):
+            col = mat[k::width]
+            for b in _BYTE_BITS[live[j]]:
+                rows[8 * j + b] |= int(col.translate(_BIT_CHARS[b]), 2) << start
+    return rows
 
 
 def maximal_sets(sets):

@@ -1,6 +1,7 @@
 """The bit kernels against their set-comprehension definitions."""
 
 import random
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +11,9 @@ from eulerchar._bitops import compress_columns, count_is, count_planes, iter_bit
 # (7/8/9), a 64-bit word (63/64/65) and 4,096 bits, and 10,395 is the facet
 # count of match-11, whose nerve is the widest golden universe
 WIDTHS = (1, 7, 8, 9, 63, 64, 65, 720, 4096, 4097, 10395)
+# every other byte of a 10,395-bit universe: transpose_rows' compact rows,
+# live byte columns with empty ones between them
+GAPPED = sum(0xFF << 16 * i for i in range(650))
 
 
 def ref_bits(x):
@@ -92,6 +96,13 @@ def test_seeded_widths():
                 union |= s
             check(union, sets)
             check(keep, sets + [0])
+            # the transpose's byte matrix at m = 1 and 9, over gapped byte
+            # columns, and with zero sets interleaved
+            for part in (sets[:1], sets[:9]):
+                for family in (part, [s & GAPPED for s in part], [x for s in part for x in (0, s)]):
+                    assert transpose_rows(family) == ref_transpose(family)
+    # one live byte column high up, every byte below it empty
+    check(1 << 10394, [1 << 10394, 0, 1 << 10390])
 
 
 def test_many_sets_few_elements():
@@ -99,6 +110,25 @@ def test_many_sets_few_elements():
     rng = random.Random(11)
     sets = [rng.getrandbits(55) for _ in range(5000)]
     check(rng.getrandbits(55) | 1 << 54, sets)
+    # more sets than one byte matrix chunk holds, with empty byte columns
+    check(1 << 54, [s & 0xFF00FF00FF00FF for s in sets])
+
+
+def test_transpose_memory_is_bounded():
+    # match-13's root nerve transposes 135,135 facets over 78 vertices; a byte
+    # matrix joined in one piece would hold a bytes object per set at once
+    rng = random.Random(13)
+    sets = [rng.getrandbits(78) for _ in range(135_135)]
+    tracemalloc.start()
+    try:
+        rows = transpose_rows(sets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+    assert sum(map(int.bit_count, rows.values())) == sum(map(int.bit_count, sets))
+    for v in (0, 40, 77):
+        assert rows[v] == sum(1 << i for i, s in enumerate(sets) if s >> v & 1)
 
 
 @settings(max_examples=200, deadline=None)
