@@ -44,9 +44,9 @@ def iter_bits(x):
 def transpose_rows(sets):
     """Incidence transpose: dict mapping element v to the bitmask of set
     indices i with v in sets[i].  Only elements that occur are keyed.
-    A chunk's byte matrix has one row per set, last set first, holding only
-    the union's live bytes when some are empty.  Bit b of byte column j,
-    translated to "0"/"1", spells the row of element 8j + b in base 2."""
+    Each chunk of _TRANSPOSE_CHUNK sets becomes a byte matrix, one row per
+    set (last set first) by the union's live byte columns; bit b of column
+    j, translated to "0"/"1", spells the row of element 8j + b in base 2."""
     union = reduce(or_, sets, 0)
     stride = (union.bit_length() + 7) >> 3
     live = union.to_bytes(stride, "little")

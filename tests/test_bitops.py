@@ -99,7 +99,8 @@ def test_seeded_widths():
             # the transpose's byte matrix at m = 1 and 9, over gapped byte
             # columns, and with zero sets interleaved
             for part in (sets[:1], sets[:9]):
-                for family in (part, [s & GAPPED for s in part], [x for s in part for x in (0, s)]):
+                gapped = [s & GAPPED for s in part]
+                for family in (part, gapped, [x for s in part for x in (0, s)]):
                     assert transpose_rows(family) == ref_transpose(family)
     # one live byte column high up, every byte below it empty
     check(1 << 10394, [1 << 10394, 0, 1 << 10390])
