@@ -6,9 +6,11 @@ C, so these kernels keep the Python-level loop counts low: maximal_sets
 switches to a transposed incidence view for large batches, iter_bits scans
 an int byte by byte through a table, transpose_rows reads each element's row
 from a byte column of the sets' byte matrix (about m × live byte columns of
-memory, built a chunk of sets at a time), and _gather (behind
-compress_columns and the engine's relabelled table keys) picks bits from a
-set's binary string, where bit p is the character p places from the right.
+memory, built a chunk of sets at a time), compress_columns drops the dead
+byte columns of its mask and closes the remaining gaps with a few
+mask-and-shift rounds shared by every set, and _gather (behind the engine's
+relabelled table keys) picks bits from a set's binary string, where bit p is
+the character p places from the right.
 """
 
 from functools import reduce
@@ -58,13 +60,20 @@ def transpose_rows(sets):
         if width == stride:
             mat = b"".join(map(int.to_bytes, chunk, repeat(stride), repeat("little")))
         else:
-            mat = b"".join(bytes(map(s.to_bytes(stride, "little").__getitem__, cols))
-                           for s in chunk)
+            mat = b"".join(_live_bytes(chunk, stride, cols))
         for k, j in enumerate(cols):
             col = mat[k::width]
             for b in _BYTE_BITS[live[j]]:
                 rows[8 * j + b] |= int(col.translate(_BIT_CHARS[b]), 2) << start
     return rows
+
+
+def _live_bytes(sets, stride, cols):
+    """Iterator over each set's bytes at the byte columns cols, in order;
+    every set fits in stride bytes."""
+    # a single index would make itemgetter return an int, not a tuple
+    pick = itemgetter(*cols) if len(cols) > 1 else itemgetter(slice(cols[0], cols[0] + 1))
+    return map(bytes, map(pick, map(int.to_bytes, sets, repeat(stride), repeat("little"))))
 
 
 def maximal_sets(sets):
@@ -150,16 +159,48 @@ def count_is(planes, sel, c):
 
 def compress_columns(keep, sets):
     """Re-index each bitset onto the dense universe enumerating the set bits
-    of `keep` in ascending order.  Returns (k, new_sets)."""
-    positions = list(iter_bits(keep))
-    if not positions:
+    of `keep` in ascending order.  Returns (k, new_sets).
+
+    The sets are cut to keep, narrowed to keep's live byte columns, and then
+    compressed as in Warren's Hacker's Delight, section 7-4: round i moves
+    every kept bit whose distance to its place has bit i set 2^i places
+    right, so ceil(log2 w) rounds of one mask each close every gap."""
+    if not keep:
         return 0, [0] * len(sets)
-    return len(positions), _gather(positions, sets)
+    k = keep.bit_count()
+    sets = [s & keep for s in sets]
+    stride = (keep.bit_length() + 7) >> 3
+    live = keep.to_bytes(stride, "little")
+    cols = [j for j, byte in enumerate(live) if byte]
+    if len(cols) < stride:
+        keep = int.from_bytes(live.translate(None, b"\0"), "little")
+        sets = list(map(int.from_bytes, _live_bytes(sets, stride, cols), repeat("little")))
+    w = keep.bit_length()
+    # zeros has bit p where keep lacks bit p - 1.  In round sh, the prefix
+    # parity of zeros is bit sh of each position's count of gaps below it,
+    # so the kept bits with it set move sh places right (Warren's mk and mp)
+    zeros = (keep ^ mask(w)) << 1
+    sh = 1
+    while sh < w:
+        parity = zeros
+        step = 1
+        while step < w:
+            parity ^= parity << step
+            step <<= 1
+        move = parity & keep
+        if move:
+            keep = keep ^ move | move >> sh
+            sets = [x ^ (t := x & move) | t >> sh for x in sets]
+        zeros &= ~parity
+        sh <<= 1
+    return k, sets
 
 
 def _gather(order, sets):
     """Each bitset with bit i renamed from bit order[i] (bits outside order
-    dropped); order is a non-empty list of distinct positions."""
+    dropped); order is a non-empty list of distinct positions.  The engine's
+    relabelled table keys use it: their order is a permutation of a node's
+    live vertices by degree, not an ascending one."""
     fmt = f"0{max(order) + 1}b"
     # character ~p is bit p; picked highest first, the bits spell the new set
     pick = itemgetter(*[~p for p in reversed(order)])

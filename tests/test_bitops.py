@@ -2,10 +2,16 @@
 
 import random
 import tracemalloc
+from functools import reduce
+from operator import or_
 
 from hypothesis import given, settings, strategies as st
 
-from eulerchar._bitops import compress_columns, count_is, count_planes, iter_bits, transpose_rows
+from eulerchar._bitops import (
+    compress_columns, count_is, count_planes, iter_bits, mask, transpose_rows,
+)
+from eulerchar.docio import parse_complex
+from test_cli import wide_sparse_document
 
 # iter_bits scans every width byte by byte; the widths straddle a byte
 # (7/8/9), a 64-bit word (63/64/65) and 4,096 bits, and 10,395 is the facet
@@ -76,10 +82,55 @@ def test_one_set_transpose():
 
 
 def test_bits_outside_keep_are_dropped():
-    # bits below and between keep's bits must not leak into the result (a
-    # set never reaches above keep's highest bit)
+    # bits below and between keep's bits must not leak into the result
     keep = 0b1100_0100
     assert compress_columns(keep, [0b0011_1011, 0xFF, 0b0101_0000]) == (3, [0, 0b111, 0b010])
+    # nor bits above keep's top byte, or between it and keep's top bit
+    assert compress_columns(keep, [0xFF << 8, 1 << 7 | 1 << 900, 0x3F]) == (3, [0, 0b100, 0b001])
+    keep = 0xF0 << 80 | 0x0F << 16
+    sets = [mask(200), 0xFF << 84, 0xAA << 16 | 1 << 79 | 1 << 88 | 1 << 150, 0xFFFF << 8]
+    assert compress_columns(keep, sets) == ref_compress(keep, sets)
+
+
+def test_compress_round_widths():
+    # a keep of width w takes ceil(log2 w) shift rounds: at w = 2^k the top
+    # bit moves w - 1 = 2^k - 1 places and uses every round, at 2^k + 1 it
+    # moves 2^k places and uses only the last one
+    rng = random.Random(0xC0)
+    for k in range(1, 15):
+        for w in (1 << k, (1 << k) + 1):
+            sets = [rng.getrandbits(w + 9) for _ in range(3)] + [0, mask(w)]
+            for keep in (1 << (w - 1), 1 | 1 << (w - 1), 2 | 1 << (w - 1),
+                         rng.getrandbits(w) | 1 << (w - 1),
+                         sparse_set(rng, w, 0.02) | 1 << (w - 1)):
+                assert compress_columns(keep, sets) == ref_compress(keep, sets), (w, keep)
+
+
+def test_compress_keep_shapes():
+    rng = random.Random(0xB17)
+    for w in (8, 9, 64, 100, 1000):
+        sets = [rng.getrandbits(w + 16) for _ in range(4)]
+        for keep in (
+            mask(w),  # all ones: no bit moves
+            mask(w) // 3,  # alternating bits 0, 2, 4, ...
+            mask(w) // 3 << 1,  # alternating bits 1, 3, 5, ...
+            mask(w) ^ 1,  # bit 0 clear: everything moves one place
+            1 << (w - 1),  # one bit at the top
+            sum(1 << 8 * j + j % 8 for j in range((w + 7) // 8)),  # every byte column live
+        ):
+            assert compress_columns(keep, sets) == ref_compress(keep, sets), (w, keep)
+
+
+def test_one_live_byte_column():
+    # one live byte column among dead ones, where operator.itemgetter would
+    # return an int instead of a tuple
+    for j in (1, 5, 200):
+        for byte in (0x01, 0x80, 0x5A, 0xFF):
+            keep = byte << 8 * j
+            sets = [mask(8 * j + 20), 0xA5 << 8 * j, 1 << 8 * j + 7, 0]
+            assert compress_columns(keep, sets) == ref_compress(keep, sets), (j, byte)
+            family = [s & keep for s in sets if s & keep]
+            assert transpose_rows(family) == ref_transpose(family), (j, byte)
 
 
 def test_seeded_widths():
@@ -130,6 +181,36 @@ def test_transpose_memory_is_bounded():
     assert sum(map(int.bit_count, rows.values())) == sum(map(int.bit_count, sets))
     for v in (0, 40, 77):
         assert rows[v] == sum(1 << i for i, s in enumerate(sets) if s >> v & 1)
+
+
+def test_compress_memory_is_bounded():
+    # the root of the wide sparse document: 513 sets, keep holds 1,281 bits up
+    # to bit 2^24 - 1.  A binary-string gather formats every set at keep's
+    # full 2 MB width (about 32 MB at peak); the kernel keeps one set's bytes
+    # at that width at a time (about 7 MB)
+    facets = list(parse_complex(wide_sparse_document()).facets)
+    keep = reduce(or_, facets)
+    tracemalloc.start()
+    try:
+        k, sets = compress_columns(keep, facets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000
+    index = {p: i for i, p in enumerate(iter_bits(keep))}
+    assert k == len(index) == 1281
+    assert sets == [sum(1 << index[p] for p in iter_bits(f)) for f in facets]
+
+
+def positions(limit):
+    return st.sets(st.integers(min_value=0, max_value=limit)).map(lambda ps: sum(1 << p for p in ps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(keep=positions(3000), sets=st.lists(positions(3100), max_size=8))
+def test_compress_matches_definition(keep, sets):
+    # sparse positions leave dead byte columns, and the sets reach past keep
+    assert compress_columns(keep, sets) == ref_compress(keep, sets)
 
 
 @settings(max_examples=200, deadline=None)
