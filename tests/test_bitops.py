@@ -186,7 +186,7 @@ def test_transpose_memory_is_bounded():
 def test_compress_memory_is_bounded():
     # the root of the wide sparse document: 513 sets, keep holds 1,281 bits up
     # to bit 2^24 - 1.  A binary-string gather formats every set at keep's
-    # full 2 MB width (about 32 MB at peak); the kernel keeps one set's bytes
+    # full 2 MB width (about 34 MB at peak); the kernel keeps one set's bytes
     # at that width at a time (about 7 MB)
     facets = list(parse_complex(wide_sparse_document()).facets)
     keep = reduce(or_, facets)
