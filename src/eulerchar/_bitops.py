@@ -14,7 +14,7 @@ the character p places from the right.
 """
 
 from functools import reduce
-from itertools import groupby, repeat
+from itertools import compress, groupby, repeat
 from operator import itemgetter, or_
 
 _BYTE_BITS = [tuple(b for b in range(8) if (v >> b) & 1) for v in range(256)]
@@ -52,7 +52,7 @@ def transpose_rows(sets):
     union = reduce(or_, sets, 0)
     stride = (union.bit_length() + 7) >> 3
     live = union.to_bytes(stride, "little")
-    cols = [j for j, byte in enumerate(live) if byte]
+    cols = list(compress(range(stride), live))
     width = len(cols)
     rows = dict.fromkeys([8 * j + b for j in cols for b in _BYTE_BITS[live[j]]], 0)
     for start in range(0, len(sets), _TRANSPOSE_CHUNK):
@@ -171,7 +171,7 @@ def compress_columns(keep, sets):
     sets = [s & keep for s in sets]
     stride = (keep.bit_length() + 7) >> 3
     live = keep.to_bytes(stride, "little")
-    cols = [j for j, byte in enumerate(live) if byte]
+    cols = list(compress(range(stride), live))
     if len(cols) < stride:
         keep = int.from_bytes(live.translate(None, b"\0"), "little")
         sets = list(map(int.from_bytes, _live_bytes(sets, stride, cols), repeat("little")))

@@ -47,6 +47,7 @@ from typing import Optional
 
 from ._bitops import (
     _gather, compress_columns, count_is, count_planes, iter_bits, mask, maximal_sets,
+    transpose_rows,
 )
 from .core import (
     Complex,
@@ -101,12 +102,13 @@ _ISO_BITS = 128
 # rose 0.018 -> 0.021 s and its tail 0.071 -> 0.075 s, so 8 it is.
 _LEAF_FACETS = 8
 # A single-vertex bcrt split (σ = V∖{e}) of a node of more than
-# _HASH_DELETION_FACETS facets builds its deletion child with set lookups
-# (_hash_deletion) instead of maximal_sets, whose transpose_rows above 512 sets
-# took most of the time of large splits.  A gate of 8 facets was no faster
-# on narrow-bcrt (0.369-0.377 against 0.355-0.382 reference s, four
-# alternating pairs of perfbench seeds 1-4).
-_HASH_DELETION_FACETS = 64
+# _TRANSPOSED_DELETION_FACETS facets builds its deletion child with
+# _transposed_deletion, a smaller one with maximal_sets.  Below the gate the
+# two are about even (replays of bcrt's calls there, maximal_sets against the
+# kernel: rook-6-6 1.72 against 1.64 ms, match-10 1.87 against 2.29 ms,
+# nicgraph-7-2 22.4 against 21.7 ms), and a gate of 0 was no faster on
+# narrow-bcrt (0.274 against 0.265 reference s, four alternating pairs).
+_TRANSPOSED_DELETION_FACETS = 64
 
 _M64 = (1 << 64) - 1
 
@@ -386,37 +388,28 @@ def _split_dbms_masked(facets, idx):
     return rest, maximal_sets([t & sigma for t in rest]), -1
 
 
-def _hash_deletion(keep, cut):
+def _transposed_deletion(keep, cut):
     """maximal_sets(keep + cut) for two antichains where no cut set contains
-    a keep set, or None when some keep set has more than two vertices more
-    than the smallest cut set.
+    a keep set: the keep sets and the cut sets that lie in none of them.
 
-    Only a keep set g can dominate a cut set h, and then h is g with
-    |g| - |h| ≤ 2 of its vertices removed, so the cut sets left after
-    discarding those subsets of every g are exactly the undominated ones."""
-    low = min(map(int.bit_count, cut), default=0)
-    if max(map(int.bit_count, keep), default=0) > low + 2:
-        return None
-    left = set(cut)
-    for g in keep:
-        k = g.bit_count() - low
-        if k < 0:
-            continue
-        left.discard(g)
-        if k:
-            # g less one vertex, by a low-bit loop: cheaper than iter_bits on
-            # sets of a few vertices (the kernel took 0.54 s instead of 0.82 s
-            # over rook-7-7 bcrt's 719 calls on a 2-vCPU host)
-            drop = []
-            b = g
-            while b:
-                x = b & -b
-                drop.append(g ^ x)
-                b ^= x
-            if k == 2:  # and less two: the meets of those
-                drop += [y & z for i, y in enumerate(drop) for z in drop[i + 1 :]]
-            left.difference_update(drop)
-    return sorted(keep + [h for h in cut if h in left])
+    With rows[v] the mask of the keep sets holding v, the keep sets holding
+    a cut set h are the AND of rows[v] over v in h: all of them for an empty
+    h, none once some v of h is in no keep set."""
+    rows = transpose_rows(keep)
+    every = mask(len(keep))
+    inner = list(keep)
+    for h in cut:
+        # h's vertices by a low-bit loop, a little faster than iter_bits on
+        # sets of a few vertices (replays of narrow-bcrt's large splits)
+        acc = every
+        b = h
+        while b and acc:
+            x = b & -b
+            acc &= rows.get(x.bit_length() - 1, 0)
+            b ^= x
+        if not acc:
+            inner.append(h)
+    return sorted(inner)
 
 
 def _split_bcrt_masked(alive, facets, sigma):
@@ -425,21 +418,19 @@ def _split_bcrt_masked(alive, facets, sigma):
     and sign -1; else it is the closure Δ∪pows σ and sign +1.
 
     lk e's facets are the cut sets f∖e of the facets f ∋ e, an antichain
-    since f∖e ⊆ f′∖e would give f ⊆ f′.  The deletion is maximal_sets of
-    the facets g ∌ e and the cut sets, and no g lies in a cut set (it would
-    lie in its facet), so on a node of more than _HASH_DELETION_FACETS facets
-    _hash_deletion may build it."""
+    since f∖e ⊆ f′∖e would give f ⊆ f′.  The deletion is the facets g ∌ e
+    (the keep sets) and the cut sets that lie in no g; no g lies in a cut
+    set, since it would lie in that set's facet.  On a node of more than
+    _TRANSPOSED_DELETION_FACETS facets _transposed_deletion finds those cut
+    sets from the keep sets' transpose, on a smaller one maximal_sets does."""
     ebit = alive & ~sigma
     if ebit & (ebit - 1):  # popgcd's σ can miss several vertices
         return maximal_sets([f & sigma for f in facets]), _closure_facets(facets, sigma), 1
     keep = [f for f in facets if not f & ebit]
     cut = [f ^ ebit for f in facets if f & ebit]
-    inner = None
-    if len(facets) > _HASH_DELETION_FACETS:
-        inner = _hash_deletion(keep, cut)
-    if inner is None:
-        inner = maximal_sets(keep + cut)
-    return inner, cut, -1
+    if len(facets) > _TRANSPOSED_DELETION_FACETS:
+        return _transposed_deletion(keep, cut), cut, -1
+    return maximal_sets(keep + cut), cut, -1
 
 
 # ---------------------------------------------------------------------------

@@ -298,10 +298,10 @@ def test_split_bcrt_identity_exhaustive():
 
 def test_vertex_split_is_deletion_plus_link(rng, monkeypatch):
     # every single-vertex pivot σ = V∖{e} of seeded antichains, with the
-    # hash deletion on at every size; facet sizes spread over 0, 1, 2 or 4
-    # vertices, so d = max|g ∌ e| - min|f∖e| (f ∋ e) is 1 on the pure
-    # complexes and up to 2 (the lookups) or above it (maximal_sets) on others
-    monkeypatch.setattr(engine, "_HASH_DELETION_FACETS", 0)
+    # transposed deletion on at every size; facet sizes spread over 0, 1, 2 or
+    # 4 vertices, so d = max|g ∌ e| - min|f∖e| (f ∋ e) is 1 on the pure
+    # complexes and 0 to 2 or above on others, one kernel for every d
+    monkeypatch.setattr(engine, "_TRANSPOSED_DELETION_FACETS", 0)
     seen = set()
     for _ in range(300):
         n = rng.randint(6, 10)
@@ -325,6 +325,57 @@ def test_vertex_split_is_deletion_plus_link(rng, monkeypatch):
             union = euler_by_subsets(add_facet_closure(c, sigma))
             assert -euler_by_subsets(Complex(n, tuple(link))) == union, (c, e)
     assert seen >= {"pure", 1, 2, 3}, seen
+
+
+def deletion_pairs(c):
+    """(keep, cut) of each single-vertex split of c: the facets without e
+    and the others less e, as _split_bcrt_masked hands them over."""
+    for e in iter_bits(reduce(or_, c.facets, 0)):
+        ebit = 1 << e
+        yield [f for f in c.facets if not f & ebit], [f ^ ebit for f in c.facets if f & ebit]
+
+
+def test_transposed_deletion_matches_maximal_sets(rng):
+    # the kernel against maximal_sets(keep + cut) on seeded antichains, with
+    # d = max|keep set| - min|cut set| from 0 to above 2 and the edge cases
+    # below: an empty cut set (the facet {e}), no keep set, a cut vertex in
+    # no keep set (vertex 3 with e = 0 in the last complex)
+    complexes = [cx(2, {0}), cx(4, {0}, {1, 2}, {2, 3}), cx(4, {0, 1}, {0, 2}, {0, 3}), cx(4, {0, 3}, {1, 2}, {0, 1})]
+    for _ in range(200):
+        n = rng.randint(6, 10)
+        k = rng.randint(0, n - 4)
+        spread = rng.choice((0, 1, 2, 4))
+        complexes.append(make_complex(n, [rng.sample(range(n), k + rng.randint(0, spread)) for _ in range(rng.randint(2, 40))]))
+    seen = set()
+    for c in complexes:
+        for keep, cut in deletion_pairs(c):
+            assert engine._transposed_deletion(keep, cut) == maximal_sets(keep + cut), (c, keep, cut)
+            if 0 in cut:
+                seen.add("empty cut set")
+            if not keep:
+                seen.add("no keep set")
+                continue
+            union = reduce(or_, keep)
+            if any(h & ~union for h in cut):
+                seen.add("lone cut vertex")
+            seen.add(min(max(map(int.bit_count, keep)) - min(map(int.bit_count, cut)), 3))
+    assert seen >= {"empty cut set", "no keep set", "lone cut vertex", 0, 1, 2, 3}, seen
+
+
+def test_large_vertex_splits_use_the_transposed_deletion(monkeypatch):
+    # nicgraph-7-2's 35 splits above _TRANSPOSED_DELETION_FACETS facets all
+    # have d > 2, which no set lookup of one or two vertices served
+    calls = []
+    kernel = engine._transposed_deletion
+
+    def spy(keep, cut):
+        calls.append(max(map(int.bit_count, keep)) - min(map(int.bit_count, cut)))
+        return kernel(keep, cut)
+
+    monkeypatch.setattr(engine, "_transposed_deletion", spy)
+    value, _ = euler(generate(parse_spec("nicgraph:7,2")), EngineConfig(algorithm="bcrt"))
+    assert value == -120
+    assert len(calls) == 35 and min(calls) > 2, calls
 
 
 def test_split_bcrt_rejects_an_invalid_pivot():
