@@ -363,8 +363,8 @@ def test_transposed_deletion_matches_maximal_sets(rng):
 
 
 def test_large_vertex_splits_use_the_transposed_deletion(monkeypatch):
-    # nicgraph-7-2's 35 splits above _TRANSPOSED_DELETION_FACETS facets all
-    # have d > 2, which no set lookup of one or two vertices served
+    # the kernel builds all 35 of nicgraph-7-2's splits above
+    # _TRANSPOSED_DELETION_FACETS facets, each with d > 2, at the default gate
     calls = []
     kernel = engine._transposed_deletion
 
