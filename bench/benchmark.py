@@ -10,11 +10,11 @@ With --json PATH the rows also go to PATH as one JSON document: per
 instance and configuration χ̃, counters(), sum_splits, cache_hits,
 cache_evictions, relabelled_keys (table lookups made under a
 degree-relabelled copy), the median seconds, the median in reference seconds
-and the process's peak RSS so far (ru_maxrss, KB; rows run in the order
-listed, so each row's figure covers the rows before it), plus the Python
-version, the usable CPU count, the git commit of the checkout and whether
-the checkout has uncommitted changes or untracked files (dirty; None outside
-git).  Every timed run sits between two runs
+and the row's peak RSS (ru_maxrss, KB; each row runs in a fresh process
+that receives the instance, so its figure is that row's alone), plus the
+Python version, the usable CPU count, the git commit of the checkout and
+whether the checkout has uncommitted changes or untracked files (dirty; None
+outside git).  Every timed run sits between two runs
 of perfbench/run.py's calibration loop, which scales it to reference seconds
 (see that file): the seconds the run would take on a host where the loop
 takes its reference time, so points from different hosts and hours compare.
@@ -30,6 +30,7 @@ import argparse
 import importlib.util
 import json
 import os
+import pickle
 import platform
 import resource
 import statistics
@@ -81,6 +82,35 @@ def run_one(cx, cfg, repeat, perf):
     return value, stats, statistics.median(times), statistics.median(refs)
 
 
+def run_row(cx, cfg, repeat):
+    """run_one in this process, then its peak RSS (KB)."""
+    value, stats, med, med_ref = run_one(cx, cfg, repeat, load_perfbench())
+    return value, stats, med, med_ref, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
+# a fresh interpreter loads this file by path (however the caller loaded it),
+# reads run_row's arguments pickled on stdin and writes its result to stdout
+_ROW_CHILD = """
+import importlib.util, pickle, sys
+spec = importlib.util.spec_from_file_location("benchmark_row", sys.argv[1])
+bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench)
+sys.stdout.buffer.write(pickle.dumps(bench.run_row(*pickle.load(sys.stdin.buffer))))
+"""
+
+
+def run_fresh(cx, cfg, repeat):
+    """run_row in a fresh process, so that the peak RSS is the row's own."""
+    done = subprocess.run(
+        [sys.executable, "-c", _ROW_CHILD, os.path.abspath(__file__)],
+        input=pickle.dumps((cx, cfg, repeat)),
+        stdout=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        check=True,
+    )
+    return pickle.loads(done.stdout)
+
+
 def git(args):
     """Stripped stdout of a git command run in this checkout, or None outside
     git."""
@@ -126,7 +156,6 @@ def main(argv=None):
     except (InputError, CapacityError) as exc:
         ap.error(str(exc))
 
-    perf = load_perfbench()
     print(
         f"{'instance':>18} {'n':>5} {'m':>7}  {'config':<18} {'chi':>8} {'nodes':>9} "
         f"{'elims':>9} {'hits':>7} {'splits':>7} {'sums':>5} {'median_s':>9}"
@@ -142,7 +171,7 @@ def main(argv=None):
                 pivots = all_pivots
             for piv in pivots:
                 cfg = EngineConfig(algorithm=alg, pivot=piv, use_nerve=args.nerve == "on")
-                value, stats, med, med_ref = run_one(cx, cfg, args.repeat, perf)
+                value, stats, med, med_ref, rss = run_fresh(cx, cfg, args.repeat)
                 print(
                     f"{spec_text:>18} {cx.n:>5} {cx.num_facets:>7}  "
                     f"{alg + '/' + piv:<18} {value:>8} {stats.nodes_expanded:>9} "
@@ -165,7 +194,7 @@ def main(argv=None):
                         "median_s": med,
                         "median_ref_s": med_ref,
                         "repeat": args.repeat,
-                        "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+                        "ru_maxrss_kb": rss,
                     }
                 )
     if args.json:

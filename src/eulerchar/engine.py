@@ -12,11 +12,13 @@ child, a second child and a sign, χ̃ = χ̃(first) + sign·χ̃(second):
           Δ = closure(facets∖{σ})
 
 The terminal step scores void, {∅} and a cone (a vertex in every facet),
-and solves any other node of at most _LEAF_FACETS facets as a leaf: its χ̃
-is summed in one pass over its facet intersections (_lattice_masked), the
-complements of the lcms in the paper's inclusion-exclusion.  None of this
-needs simplified facets, so a node (the root and every child alike) that
-arrives with at most _LEAF_FACETS facets goes to the terminal step at once.
+and solves any other node of at most _LEAF_FACETS facets as a leaf:
+_lattice_masked takes χ̃ of its nerve from the sets of facets that share a
+vertex, closed downward on the subset lattice in one 2^m-bit integer (the
+paper's inclusion-exclusion over the lcms of a few generators, done bit
+parallel).  None of this needs simplified facets, so a node (the root and
+every child alike) that arrives with at most _LEAF_FACETS facets goes to the
+terminal step at once.
 A larger node is re-packed on entry onto its live vertices if its stored
 width far exceeds their count.  It is then simplified: unused vertices are
 dropped, and each pass eliminates all of its abundant vertices in one batch,
@@ -42,7 +44,7 @@ bounded regardless of instance size, and all randomness is derived from
 import time
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import and_, or_
+from operator import and_, or_, xor
 from typing import Optional
 
 from ._bitops import (
@@ -92,15 +94,14 @@ _TABLE_FACETS = 1 << 14
 # (Whole shape tuples held 1 MB more at peak on nicgraph-9-2 bcrt.)
 _ISO_BITS = 128
 # A node of at most _LEAF_FACETS facets that is not void, {∅} or a cone is
-# solved in one pass over its facet intersections (_lattice_masked) instead of
-# by pivot splits, as it arrives or after simplify and the nerve, whichever
-# comes first.  That pass keeps at most 2^m distinct intersections, so a
-# leaf's cost stays bounded; merged by equal intersection the leaves keep a
-# median of 13 (match-10, rook-6-6 under bcrt) to 21 (nicgraph-7-2 under
-# bcrt), and 33 on random:40,45.  At 12, random-antichain wall fell further
-# (1.85 -> 1.68 reference s, perfbench seeds 1-2) but gadgets' median instance
-# rose 0.018 -> 0.021 s and its tail 0.071 -> 0.075 s, so 8 it is.
-_LEAF_FACETS = 8
+# solved by _lattice_masked instead of by pivot splits, as it arrives or after
+# simplify and the nerve, whichever comes first.  Its closure works on a
+# 2^m-bit set of facet subsets, so the cost per leaf doubles with each facet.
+# Sweep, perfbench wall_s in reference s (one 10 s run, seed 1; 8 before the
+# kernel read 1.45 and 0.197): random-antichain 12 -> 0.96, 14 -> 0.81,
+# 16 -> 0.73, 18 -> 0.90, 20 -> 2.35, where the closure dominates; gadgets
+# 12 -> 0.161, 14 -> 0.152, 16 -> 0.141, 18 -> 0.151, 20 -> 0.223.
+_LEAF_FACETS = 16
 # A single-vertex bcrt split (σ = V∖{e}) of a node of more than
 # _TRANSPOSED_DELETION_FACETS facets builds its deletion child with
 # _transposed_deletion, a smaller one with maximal_sets.  Below the gate the
@@ -272,25 +273,53 @@ def _base_case_masked(facets):
     return None
 
 
-def _lattice_masked(alive, facets):
-    """χ̃ of a non-void complex from its facet intersections; alive is the
-    union of the facets.  Cost and memory grow with the number of distinct
-    intersections, at most 2^m.
+def _subset_masks(m):
+    """(holds, odd) over the 2^m subsets S of range(m), bit S standing for S:
+    holds[i] marks the S that contain i, odd those of odd size.  The sets
+    holding m - 1 are the upper half, and holds[i] = h ^ (h >> 2^i) for
+    h = holds[i + 1], since adding 2^i to S carries into bit i + 1 iff i ∈ S."""
+    holds = [mask(1 << m - 1) << (1 << m - 1)]
+    for i in reversed(range(m - 1)):
+        holds.insert(0, holds[0] ^ holds[0] >> (1 << i))
+    return holds, reduce(xor, holds)
 
-    χ̃ = Σ (-1)^|S| over the non-empty facet subsets S whose intersection is
-    empty.  The sum over all S is 0, so this is minus the sum over the S
-    whose intersection is not empty; coef holds those sums grouped by
-    intersection, the empty S under alive.  An empty intersection stays
-    empty in every extension, so it is dropped.  (For {∅}, alive is 0 and
-    coef keeps only the empty S: χ̃ = -1.)
+
+# for the largest leaf: 17 masks of 2^16 bits, about 0.14 MB, built at import
+# in well under 1 ms
+_HOLDS, _ODD = _subset_masks(_LEAF_FACETS)
+
+
+def _lattice_masked(alive, facets):
+    """χ̃ of a non-void complex of at most _LEAF_FACETS facets (alive is their
+    union) as χ̃ of its nerve, summed on the subset lattice of the facet
+    indices.
+
+    A set S of indices is a nerve face iff some live vertex lies in every
+    facet of S, so the faces are the down-closure of the vertex rows
+    {i : v ∈ f_i}.  The rows come from splitting alive by each facet in turn,
+    depth first, so at most m classes are pending at once.  Bit S of u marks
+    a face: u starts as the rows and the empty set, and round i adds S∖{i}
+    for every S ∋ i in u (a zeta transform; Björklund, Husfeldt, Kaski and
+    Koivisto, STOC 2007).  χ̃ sums -(-1)^|S| over the faces, the empty one
+    included: odd faces less even ones.  (For {∅}, alive is 0 and u holds
+    only the empty set: χ̃ = -1.)
     """
-    coef = {alive: 1}
-    for f in facets:
-        for x, c in list(coef.items()):
-            x &= f
-            if x:
-                coef[x] = coef.get(x, 0) - c
-    return -sum(coef.values())
+    m = len(facets)
+    u = 1
+    pending = [(alive, 0, 0)]  # (class of vertices, next facet, row so far)
+    while pending:
+        c, i, row = pending.pop()
+        for i in range(i, m):
+            inside = c & facets[i]
+            if inside:
+                if inside != c:
+                    pending.append((c ^ inside, i + 1, row))
+                    c = inside
+                row |= 1 << i
+        u |= 1 << row
+    for i in range(m):
+        u |= (u & _HOLDS[i]) >> (1 << i)
+    return 2 * (u & _ODD).bit_count() - u.bit_count()
 
 
 def _iso_facets(alive, facets, planes):
@@ -588,7 +617,7 @@ def try_base_case(cx: Complex) -> Optional[int]:
     """χ̃ from the engine's terminal step, the one euler() takes on a node
     as it arrives and again after simplify and the nerve: 0 for void and for
     a cone, -1 for {∅}, the leaf's value for any other complex of at most
-    _LEAF_FACETS (8) facets, and None for a non-cone of more facets.  The
+    _LEAF_FACETS (16) facets, and None for a non-cone of more facets.  The
     complex need not be simplified first."""
     bc = _base_case_masked(cx.facets)
     return None if bc is None else bc[0]

@@ -13,9 +13,9 @@ COUNTERS = {
 }
 
 
-def bench_json(tmp_path, *args):
+def bench_json(tmp_path, *args, instances=("rook:3,3",)):
     out = tmp_path / "bench.json"
-    cmd = [sys.executable, str(BENCH), "--instances", "rook:3,3", "--repeat", "1"]
+    cmd = [sys.executable, str(BENCH), "--instances", *instances, "--repeat", "1"]
     subprocess.run(
         [*cmd, "--json", str(out), *args],
         capture_output=True,
@@ -49,3 +49,13 @@ def test_benchmark_writes_json(tmp_path):
 def test_benchmark_default_pivots(tmp_path):
     rows = bench_json(tmp_path, "--pivots", "default,raremax")["rows"]
     assert [(r["algorithm"], r["pivot"]) for r in rows] == [("dbms", "raremax"), ("bcrt", "popvar")]
+
+
+def test_each_row_has_its_own_peak_rss(tmp_path):
+    # match-13 dbms peaks about 35 MB above a tiny row; run in one process,
+    # the tiny row after it would report the same ru_maxrss
+    rows = bench_json(tmp_path, "--algorithms", "dbms", "--pivots", "default",
+                      instances=("match:13", "rook:3,3"))["rows"]
+    large, small = (row["ru_maxrss_kb"] for row in rows)
+    assert [row["instance"] for row in rows] == ["match:13", "rook:3,3"]
+    assert small < large - 20_000, (large, small)

@@ -1,5 +1,8 @@
+import random
+import tracemalloc
 from functools import reduce
 from itertools import combinations
+from math import comb
 from operator import or_
 
 import pytest
@@ -128,28 +131,31 @@ def test_base_case_order_and_misses():
         pairs = edges.split()
         c = cx(len(pairs), *[{v for v, p in enumerate(pairs) if str(i) in p} for i in range(4)])
         assert try_base_case(c) == euler(c)[0] == euler_by_subsets(c) == 3 - len(pairs)
-    # nine isolated points: no cone, and more facets than the leaf takes
-    assert try_base_case(cx(9, *[{v} for v in range(9)])) is None
+    # isolated points: no cone, and one facet more than the leaf takes
+    k = engine._LEAF_FACETS + 1
+    assert try_base_case(cx(k, *[{v} for v in range(k)])) is None
 
 
 def test_base_case_values_match_oracle(rng):
-    # every complex on at most 4 vertices, and complexes of 9-12 equal-size
-    # facets (an antichain), beyond the leaf, every other one made a cone by
-    # an apex vertex n
+    # every complex on at most 4 vertices, and complexes of 1-4 equal-size
+    # facets (an antichain) more than the leaf takes, every other one made a
+    # cone by an apex vertex n
+    leaf = engine._LEAF_FACETS
     large = []
     for i in range(60):
-        n = rng.randint(6, 8)
-        faces = rng.sample(list(combinations(range(n), rng.randint(2, n - 2))), rng.randint(9, 12))
+        n = rng.randint(8, 10)
+        size = rng.choice([k for k in range(2, n - 1) if comb(n, k) >= leaf + 4])
+        faces = rng.sample(list(combinations(range(n), size)), rng.randint(leaf + 1, leaf + 4))
         large.append(make_complex(n + 1, [f + (n,) if i % 2 else f for f in faces]))
     hits = misses = large_cones = 0
     for c in [*all_complexes(4), *large]:
         got = try_base_case(c)
         if got is None:
             misses += 1
-            assert c.num_facets > 8 and is_cone(c) is None, c
+            assert c.num_facets > leaf and is_cone(c) is None, c
         else:
             hits += 1
-            large_cones += c.num_facets > 8
+            large_cones += c.num_facets > leaf
             assert got == euler_by_subsets(c), c
     assert hits > 50 and misses > 20 and large_cones > 20
 
@@ -539,14 +545,12 @@ def test_disjoint_union_of_joins_splits_once():
     for alg in ("dbms", "bcrt"):
         value, stats = euler(cx, EngineConfig(algorithm=alg))
         assert value == k, alg
-        assert (stats.nodes_expanded, stats.sum_splits) == (3490, 1), alg
+        assert (stats.nodes_expanded, stats.sum_splits) == (3192, 1), alg
 
 
 def test_engine_allocates_nothing_universe_sized():
     # two facets on a 2^28-vertex universe: the engine works on the live
     # vertices only and never builds an n-bit mask
-    import tracemalloc
-
     tracemalloc.start()
     try:
         value, _ = euler(Complex(2**28, (0b011, 0b110)))
@@ -564,19 +568,67 @@ def lattice(c):
     return engine._lattice_masked(reduce(or_, c.facets, 0), list(c.facets))
 
 
+def antichain(rng, n, m):
+    """m random facets of about n / 2 of n >= 8 vertices, none inside another
+    (drawn again from scratch if the draws stall)."""
+    while True:
+        facets = []
+        for _ in range(50 * m):
+            f = sum(1 << v for v in rng.sample(range(n), rng.randint(n // 2 - 1, n // 2 + 1)))
+            if all(f & ~g and g & ~f for g in facets):
+                facets.append(f)
+                if len(facets) == m:
+                    return make_complex(n, facets)
+
+
 def test_lattice_leaf_matches_oracle_exhaustive():
     checked = 0
     for c in all_complexes(4):
-        if 1 <= c.num_facets <= 8:
+        if c.num_facets:
             assert lattice(c) == euler_by_subsets(c), c
             checked += 1
     assert checked > 150
 
 
 def test_lattice_leaf_matches_oracle_random(rng):
-    for _ in range(500):
-        c = random_complex(rng, 12, 8)
+    for i in range(500):
+        c = antichain(rng, rng.randint(8, 11), 1 + i % engine._LEAF_FACETS)
         assert lattice(c) == euler_by_subsets(c), c
+
+
+def test_lattice_leaf_at_full_size(rng):
+    # m = _LEAF_FACETS, the kernel's largest size
+    m = engine._LEAF_FACETS
+    boundary = make_complex(m, [mask(m) ^ 1 << i for i in range(m)])
+    assert lattice(boundary) == (-1) ** m  # every facet subset but the whole
+    assert lattice(make_complex(m + 1, [1 << m | 1 << i for i in range(m)])) == 0  # a cone
+    assert lattice(make_complex(m, [1 << i for i in range(m)])) == m - 1  # m points
+    for _ in range(20):
+        c = antichain(rng, 12, m)
+        assert lattice(c) == euler_by_subsets(c), c
+
+
+def test_lattice_leaf_memory_is_bounded():
+    # 3,000 live vertices above bit 4096, each in a random set of the
+    # _LEAF_FACETS facets: about 2,900 distinct vertex rows at 16 facets.
+    # Splitting breadth first holds every class at the full 19,092-bit width
+    # (about 10 MB at peak); depth first holds at most m pending classes
+    m = engine._LEAF_FACETS
+    rng = random.Random(16)
+    facets = [0] * m
+    for j in range(3000):
+        for i in iter_bits(rng.getrandbits(m)):
+            facets[i] |= 1 << 4096 + 5 * j
+    c = make_complex(4096 + 5 * 3000, facets)
+    assert c.num_facets == m
+    tracemalloc.start()
+    try:
+        value = lattice(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert value == euler_by_inclusion_exclusion(c)
 
 
 def test_lattice_leaf_changes_no_value(rng, monkeypatch):
@@ -599,22 +651,29 @@ def test_lattice_leaf_changes_no_value(rng, monkeypatch):
             assert "lattice" not in stats.base_case_hits
 
 
-@pytest.mark.parametrize("k", [9, 10])
-def test_blown_up_boundary_above_the_leaf(k):
-    # k groups of 2 facets: vertex j lies in every facet outside group j, and
-    # facet i also holds the private vertex k + i.  No vertex lies in m - 1
-    # facets, so simplify keeps it; under bcrt its nerve is a simplex boundary
-    # on k facets blown up (each nerve vertex in k - 1 of them), too many
-    # facets for the leaf, so a pivot split must solve it
-    c = make_complex(3 * k, [[j for j in range(k) if j != i // 2] + [k + i] for i in range(2 * k)])
+def blown_up_boundary(k):
+    """k groups of 2 facets: vertex j lies in every facet outside group j, and
+    facet i also holds the private vertex k + i; χ̃ = (-1)^k."""
+    return make_complex(3 * k, [[j for j in range(k) if j != i // 2] + [k + i] for i in range(2 * k)])
+
+
+@pytest.mark.parametrize("above", [1, 2], ids=["leaf+1", "leaf+2"])
+def test_blown_up_boundary_above_the_leaf(above):
+    # no vertex lies in m - 1 facets, so simplify keeps it; under bcrt its
+    # nerve is a simplex boundary on k facets blown up (each nerve vertex in
+    # k - 1 of them), too many facets for the leaf, so a pivot split must
+    # solve it
+    k = engine._LEAF_FACETS + above
+    c = blown_up_boundary(k)
     nv = nerve(c)
     assert nv.num_facets == k > engine._LEAF_FACETS
     assert all(sum(f >> v & 1 for f in nv.facets) == k - 1 for v in range(nv.n))
-    want = euler_by_inclusion_exclusion(c)
-    assert want == (-1) ** k
+    # inclusion-exclusion over 2k facets takes 4x longer with each k (0.05 s
+    # at k = 9, about an hour at 17), so the oracle checks the sign at k = 9
+    assert euler_by_inclusion_exclusion(blown_up_boundary(9)) == -1
     for cfg in all_configs():
         if cfg.use_nerve:
-            assert euler(c, cfg)[0] == want, cfg
+            assert euler(c, cfg)[0] == (-1) ** k, cfg
 
 
 def _small_nodes(case, rng):
@@ -708,25 +767,22 @@ def test_counters_keep_their_five_keys():
 # to the node pipeline that keeps every value but changes the search shows
 # here first
 PINNED_SEARCHES = [
-    ("rook:6,6", "dbms", 185, 1087, 0, 7, {"cone": 2, "lattice": 542}, 0, 0, 0),
-    ("rook:6,6", "bcrt", 185, 309, 0, 0, {"cone": 15, "lattice": 67}, 73, 0, 99),
-    ("match:10", "dbms", -1216, 1539, 0, 1, {"cone": 2, "lattice": 768}, 0, 0, 0),
-    ("match:10", "bcrt", -1216, 491, 0, 0, {"cone": 8, "lattice": 108}, 130, 0, 166),
-    ("nicgraph:7,2", "dbms", -120, 1055, 538, 9, {"cone": 226, "lattice": 299}, 3, 0, 3),
-    ("nicgraph:7,2", "bcrt", -120, 2021, 1132, 52,
-     {"cone": 464, "empty_face": 17, "lattice": 414}, 116, 183, 615),
-    ("match:11", "dbms", -936, 901, 0, 1, {"cone": 4, "lattice": 411}, 36, 0, 0),
-    ("rook:6,6", "dbms/rarest", 185, 947, 0, 2, {"cone": 1, "lattice": 467}, 6, 0, 16),
+    ("rook:6,6", "dbms", 185, 167, 0, 1, {"lattice": 84}, 0, 0, 0),
+    ("rook:6,6", "bcrt", 185, 245, 0, 0, {"cone": 1, "lattice": 66}, 56, 0, 70),
+    ("match:10", "dbms", -1216, 321, 0, 1, {"lattice": 161}, 0, 0, 0),
+    ("match:10", "bcrt", -1216, 389, 0, 0, {"lattice": 177}, 18, 0, 37),
+    ("nicgraph:7,2", "dbms", -120, 61, 2, 1, {"lattice": 31}, 0, 0, 0),
+    ("nicgraph:7,2", "bcrt", -120, 1063, 56, 0, {"cone": 87, "lattice": 413}, 32, 0, 275),
+    ("match:11", "dbms", -936, 251, 0, 1, {"lattice": 104}, 22, 0, 0),
+    ("rook:6,6", "dbms/rarest", 185, 151, 0, 1, {"lattice": 76}, 0, 0, 0),
 ]
 
 # the rows whose search relabelled keys change, as they read with exact keys
 # alone (nodes, eliminations, nerves, base-case hits, table hits, evictions)
 EXACT_KEY_SEARCHES = {
-    ("rook:6,6", "bcrt"): (953, 0, 0, {"cone": 28, "lattice": 414}, 35, 0),
-    ("match:10", "bcrt"): (1223, 0, 0, {"cone": 32, "lattice": 508}, 72, 0),
-    ("nicgraph:7,2", "bcrt"): (2563, 1414, 62,
-                               {"cone": 604, "empty_face": 19, "lattice": 628}, 31, 394),
-    ("rook:6,6", "dbms/rarest"): (995, 0, 2, {"cone": 1, "lattice": 497}, 0, 0),
+    ("rook:6,6", "bcrt"): (555, 0, 0, {"cone": 1, "lattice": 252}, 25, 0),
+    ("match:10", "bcrt"): (567, 0, 0, {"lattice": 282}, 2, 0),
+    ("nicgraph:7,2", "bcrt"): (1197, 66, 0, {"cone": 97, "lattice": 501}, 1, 0),
 }
 
 
