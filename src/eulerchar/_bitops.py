@@ -15,7 +15,7 @@ the character p places from the right.
 
 from functools import reduce
 from itertools import compress, groupby, repeat
-from operator import itemgetter, or_
+from operator import and_, itemgetter, or_
 
 _BYTE_BITS = [tuple(b for b in range(8) if (v >> b) & 1) for v in range(256)]
 # transpose_rows reads bit b of a byte as the character _BIT_CHARS[b] (b"0"
@@ -164,17 +164,21 @@ def compress_columns(keep, sets):
     The sets are cut to keep, narrowed to keep's live byte columns, and then
     compressed as in Warren's Hacker's Delight, section 7-4: round i moves
     every kept bit whose distance to its place has bit i set 2^i places
-    right, so ceil(log2 w) rounds of one mask each close every gap."""
+    right, so ceil(log2 w) rounds of one mask each close every gap.  When
+    columns are dropped, each set is cut and narrowed before the next, so
+    one set at keep's full width is held at a time."""
     if not keep:
         return 0, [0] * len(sets)
     k = keep.bit_count()
-    sets = [s & keep for s in sets]
     stride = (keep.bit_length() + 7) >> 3
     live = keep.to_bytes(stride, "little")
     cols = list(compress(range(stride), live))
     if len(cols) < stride:
+        cut = map(and_, sets, repeat(keep))
         keep = int.from_bytes(live.translate(None, b"\0"), "little")
-        sets = list(map(int.from_bytes, _live_bytes(sets, stride, cols), repeat("little")))
+        sets = list(map(int.from_bytes, _live_bytes(cut, stride, cols), repeat("little")))
+    else:
+        sets = [s & keep for s in sets]
     w = keep.bit_length()
     # zeros has bit p where keep lacks bit p - 1.  In round sh, the prefix
     # parity of zeros is bit sh of each position's count of gaps below it,

@@ -12,13 +12,16 @@ child, a second child and a sign, χ̃ = χ̃(first) + sign·χ̃(second):
           Δ = closure(facets∖{σ})
 
 The terminal step scores void, {∅} and a cone (a vertex in every facet),
-and solves any other node of at most _LEAF_FACETS facets as a leaf:
-_lattice_masked takes χ̃ of its nerve from the sets of facets that share a
-vertex, closed downward on the subset lattice in one 2^m-bit integer (the
-paper's inclusion-exclusion over the lcms of a few generators, done bit
-parallel).  None of this needs simplified facets, so a node (the root and
-every child alike) that arrives with at most _LEAF_FACETS facets goes to the
-terminal step at once.
+and solves any other node of at most _LEAF_FACETS facets or at most
+_LEAF_FACETS live vertices as a leaf, by one closure on a subset lattice in
+a 2^k-bit integer (the paper's inclusion-exclusion over the lcms of a few
+generators, done bit parallel): _lattice_masked takes χ̃ of the nerve from
+the sets of facets that share a vertex, _vertex_lattice takes χ̃ of the node
+itself from its facets re-packed onto its live vertices.  None of this needs
+simplified facets, so a node (the root and every child alike) that arrives
+with at most _LEAF_FACETS facets goes to the terminal step at once; the
+vertex bound is tried where the node's live vertices are known, after
+simplify and the nerve.
 A larger node is re-packed on entry onto its live vertices if its stored
 width far exceeds their count.  It is then simplified: unused vertices are
 dropped, and each pass eliminates all of its abundant vertices in one batch,
@@ -93,14 +96,19 @@ _TABLE_FACETS = 1 << 14
 # on random:40,45 under bcrt, 57-74 % on rook-6-6, match-10 and nicgraph-7-2.
 # (Whole shape tuples held 1 MB more at peak on nicgraph-9-2 bcrt.)
 _ISO_BITS = 128
-# A node of at most _LEAF_FACETS facets that is not void, {∅} or a cone is
-# solved by _lattice_masked instead of by pivot splits, as it arrives or after
-# simplify and the nerve, whichever comes first.  Its closure works on a
-# 2^m-bit set of facet subsets, so the cost per leaf doubles with each facet.
-# Sweep, perfbench wall_s in reference s (one 10 s run, seed 1; 8 before the
-# kernel read 1.45 and 0.197): random-antichain 12 -> 0.96, 14 -> 0.81,
-# 16 -> 0.73, 18 -> 0.90, 20 -> 2.35, where the closure dominates; gadgets
-# 12 -> 0.161, 14 -> 0.152, 16 -> 0.141, 18 -> 0.151, 20 -> 0.223.
+# A node that is not void, {∅} or a cone is a leaf, solved by a closure
+# instead of by pivot splits, if it has at most _LEAF_FACETS facets
+# (_lattice_masked, as it arrives or after simplify and the nerve, whichever
+# comes first) or, after simplify and the nerve, at most _LEAF_FACETS live
+# vertices (_vertex_lattice; dbms takes the nerve of such a node first, so in
+# practice only bcrt and runs without the nerve get there).  The closure works
+# on a 2^k-bit set of subsets of the k facets or vertices, so the cost per
+# leaf doubles with each one, and 0 turns both leaves off.  Sweep of the
+# facet bound, perfbench wall_s in reference s (one 10 s run, seed 1; 8
+# before the kernel read 1.45 and 0.197): random-antichain 12 -> 0.96,
+# 14 -> 0.81, 16 -> 0.73, 18 -> 0.90, 20 -> 2.35, where the closure
+# dominates; gadgets 12 -> 0.161, 14 -> 0.152, 16 -> 0.141, 18 -> 0.151,
+# 20 -> 0.223.
 _LEAF_FACETS = 16
 # A single-vertex bcrt split (σ = V∖{e}) of a node of more than
 # _TRANSPOSED_DELETION_FACETS facets builds its deletion child with
@@ -253,13 +261,15 @@ def _narrowed(facets):
     return facets
 
 
-def _base_case_masked(facets):
+def _base_case_masked(facets, alive=None):
     """The terminal step, tried in order.  Returns (value, kind) or None.
 
     Void, {∅} and a cone (a vertex in all m facets) have fixed values; any
-    other node of at most _LEAF_FACETS facets is a leaf, solved by
-    _lattice_masked.  None is left for a non-cone of more facets, which goes
-    on to a split.  No step needs simplified facets.
+    other node of at most _LEAF_FACETS facets or at most _LEAF_FACETS live
+    vertices is a leaf, solved on the subset lattice of its facet indices
+    (_lattice_masked) or of its live vertices (_vertex_lattice).  None is left
+    for a non-cone with more of both, which goes on to a split.  No step needs
+    simplified facets; alive, the facets' union, is computed if not given.
     """
     m = len(facets)
     if m == 0:
@@ -268,8 +278,12 @@ def _base_case_masked(facets):
         return -1, "empty_face"
     if reduce(and_, facets):
         return 0, "cone"
+    if alive is None:
+        alive = reduce(or_, facets)
     if m <= _LEAF_FACETS:
-        return _lattice_masked(reduce(or_, facets), facets), "lattice"
+        return _lattice_masked(alive, facets), "lattice"
+    if alive.bit_count() <= _LEAF_FACETS:
+        return _vertex_lattice(alive, facets), "lattice"
     return None
 
 
@@ -284,8 +298,8 @@ def _subset_masks(m):
     return holds, reduce(xor, holds)
 
 
-# for the largest leaf: 17 masks of 2^16 bits, about 0.14 MB, built at import
-# in well under 1 ms
+# for the largest leaf on either lattice: 17 masks of 2^16 bits, about
+# 0.14 MB, built at import in well under 1 ms
 _HOLDS, _ODD = _subset_masks(_LEAF_FACETS)
 
 
@@ -298,11 +312,9 @@ def _lattice_masked(alive, facets):
     facet of S, so the faces are the down-closure of the vertex rows
     {i : v ∈ f_i}.  The rows come from splitting alive by each facet in turn,
     depth first, so at most m classes are pending at once.  Bit S of u marks
-    a face: u starts as the rows and the empty set, and round i adds S∖{i}
-    for every S ∋ i in u (a zeta transform; Björklund, Husfeldt, Kaski and
-    Koivisto, STOC 2007).  χ̃ sums -(-1)^|S| over the faces, the empty one
-    included: odd faces less even ones.  (For {∅}, alive is 0 and u holds
-    only the empty set: χ̃ = -1.)
+    a face: u starts as the rows and the empty set, and _closed_chi closes it
+    and counts.  (For {∅}, alive is 0 and u holds only the empty set: χ̃ =
+    -1.)
     """
     m = len(facets)
     u = 1
@@ -317,7 +329,24 @@ def _lattice_masked(alive, facets):
                     c = inside
                 row |= 1 << i
         u |= 1 << row
-    for i in range(m):
+    return _closed_chi(u, m)
+
+
+def _vertex_lattice(alive, facets):
+    """χ̃ of a non-void complex on at most _LEAF_FACETS live vertices (alive),
+    summed on the subset lattice of those vertices: its facets, re-packed onto
+    0..k-1, are the generators of its faces."""
+    k, packed = compress_columns(alive, facets)
+    return _closed_chi(reduce(or_, (1 << f for f in packed)), k)
+
+
+def _closed_chi(u, k):
+    """χ̃ of the complex whose faces are the down-closure of u, a set of
+    subsets of range(k) with bit S standing for S.  Round i adds S∖{i} for
+    every S ∋ i in u (a zeta transform; Björklund, Husfeldt, Kaski and
+    Koivisto, STOC 2007), and χ̃ sums -(-1)^|S| over the faces, the empty one
+    included: odd faces less even ones."""
+    for i in range(k):
         u |= (u & _HOLDS[i]) >> (1 << i)
     return 2 * (u & _ODD).bit_count() - u.bit_count()
 
@@ -551,7 +580,7 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
             assert (len(facets) < m) if dbms else (alive.bit_length() < nu)
             m = len(facets)
 
-        bc = _base_case_masked(facets)
+        bc = _base_case_masked(facets, alive)
         if bc is not None:
             value, kind = bc
             hits[kind] = hits.get(kind, 0) + 1
@@ -617,8 +646,9 @@ def try_base_case(cx: Complex) -> Optional[int]:
     """χ̃ from the engine's terminal step, the one euler() takes on a node
     as it arrives and again after simplify and the nerve: 0 for void and for
     a cone, -1 for {∅}, the leaf's value for any other complex of at most
-    _LEAF_FACETS (16) facets, and None for a non-cone of more facets.  The
-    complex need not be simplified first."""
+    _LEAF_FACETS (16) facets or at most _LEAF_FACETS live vertices, and None
+    for a non-cone with more of both.  The complex need not be simplified
+    first."""
     bc = _base_case_masked(cx.facets)
     return None if bc is None else bc[0]
 

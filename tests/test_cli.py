@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,6 +167,14 @@ def test_gen_command(tmp_path, capsys):
     code, _, _ = _run(capsys, "gen", "rook:2,2", "-o", str(out_file))
     assert code == 0
     assert parse_complex(out_file.read_text()) == make_complex(4, [{0, 3}, {1, 2}])
+
+
+def test_gen_reaches_a_spec_whose_first_draw_saturates(capsys):
+    # random:4,6 is the six 2-sets of 4 vertices (seed 0 gets there on its
+    # eighth draw)
+    code, out, _ = _run(capsys, "gen", "random:4,6")
+    assert code == 0
+    assert parse_complex(out) == make_complex(4, combinations(range(4), 2))
 
 
 def test_gen_json_output(tmp_path, capsys):

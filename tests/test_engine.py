@@ -28,7 +28,7 @@ from eulerchar import (
 )
 from eulerchar import engine
 from eulerchar._bitops import count_planes, iter_bits, mask, maximal_sets
-from eulerchar.engine import BCRT_PIVOTS, DBMS_PIVOTS
+from eulerchar.engine import ALGORITHMS, BCRT_PIVOTS, DBMS_PIVOTS
 from eulerchar.generators import generate, parse_spec
 
 from conftest import all_complexes, flipped, interleaved_union, random_complex
@@ -138,26 +138,36 @@ def test_base_case_order_and_misses():
 
 def test_base_case_values_match_oracle(rng):
     # every complex on at most 4 vertices, and complexes of 1-4 equal-size
-    # facets (an antichain) more than the leaf takes, every other one made a
-    # cone by an apex vertex n
+    # facets (an antichain) on 8-10 vertices more than the leaf takes: a
+    # third made cones by an apex vertex n, a third given a private vertex
+    # each (more than _LEAF_FACETS live vertices, so no leaf), and a third
+    # left on at most 10 live vertices for the vertex lattice
     leaf = engine._LEAF_FACETS
     large = []
-    for i in range(60):
+    for i in range(90):
         n = rng.randint(8, 10)
         size = rng.choice([k for k in range(2, n - 1) if comb(n, k) >= leaf + 4])
         faces = rng.sample(list(combinations(range(n), size)), rng.randint(leaf + 1, leaf + 4))
-        large.append(make_complex(n + 1, [f + (n,) if i % 2 else f for f in faces]))
-    hits = misses = large_cones = 0
+        if i % 3 == 1:
+            large.append(make_complex(n + 1, [f + (n,) for f in faces]))
+        elif i % 3 == 2:
+            large.append(make_complex(n + len(faces), [f + (n + j,) for j, f in enumerate(faces)]))
+        else:
+            large.append(make_complex(n, faces))
+    hits = misses = large_cones = large_leaves = 0
     for c in [*all_complexes(4), *large]:
         got = try_base_case(c)
+        live = reduce(or_, c.facets, 0).bit_count()
         if got is None:
             misses += 1
-            assert c.num_facets > leaf and is_cone(c) is None, c
+            assert c.num_facets > leaf and live > leaf and is_cone(c) is None, c
         else:
             hits += 1
-            large_cones += c.num_facets > leaf
+            if c.num_facets > leaf:
+                large_cones += is_cone(c) is not None
+                large_leaves += is_cone(c) is None
             assert got == euler_by_subsets(c), c
-    assert hits > 50 and misses > 20 and large_cones > 20
+    assert hits > 50 and misses > 20 and large_cones > 20 and large_leaves > 20
 
 
 # --- pivot selection ---------------------------------------------------------
@@ -369,7 +379,7 @@ def test_transposed_deletion_matches_maximal_sets(rng):
 
 
 def test_large_vertex_splits_use_the_transposed_deletion(monkeypatch):
-    # the kernel builds all 35 of nicgraph-7-2's splits above
+    # the kernel builds all 22 of nicgraph-7-2's splits above
     # _TRANSPOSED_DELETION_FACETS facets, each with d > 2, at the default gate
     calls = []
     kernel = engine._transposed_deletion
@@ -381,7 +391,7 @@ def test_large_vertex_splits_use_the_transposed_deletion(monkeypatch):
     monkeypatch.setattr(engine, "_transposed_deletion", spy)
     value, _ = euler(generate(parse_spec("nicgraph:7,2")), EngineConfig(algorithm="bcrt"))
     assert value == -120
-    assert len(calls) == 35 and min(calls) > 2, calls
+    assert len(calls) == 22 and min(calls) > 2, calls
 
 
 def test_split_bcrt_rejects_an_invalid_pivot():
@@ -630,14 +640,18 @@ def test_lattice_leaf_memory_is_bounded():
 
 
 def test_lattice_leaf_changes_no_value(rng, monkeypatch):
-    # the same complexes solved with the leaf and, with _LEAF_FACETS at 0, by
-    # pivot splits down to void, {∅} and cones alone; 6-30 facets of 2-6
-    # vertices, so most reach the leaf only after splits
+    # the same complexes solved with the leaf and, with _LEAF_FACETS at 0 (no
+    # leaf on either lattice), by pivot splits down to void, {∅} and cones
+    # alone; 17-40 facets of 2-6 of 17-24 vertices, so most keep more than
+    # _LEAF_FACETS facets and live vertices and reach a leaf only after splits
+    leaf = engine._LEAF_FACETS
     cases = []
     for _ in range(200):
-        n = rng.randint(8, 20)
-        facets = [rng.sample(range(n), rng.randint(2, 6)) for _ in range(rng.randint(6, 30))]
+        n = rng.randint(leaf + 1, leaf + 8)
+        facets = [rng.sample(range(n), rng.randint(2, 6)) for _ in range(rng.randint(leaf + 1, 40))]
         cases.append(make_complex(n, facets))
+    above = [c for c in cases if min(c.num_facets, reduce(or_, c.facets).bit_count()) > leaf]
+    assert len(above) >= 150
     configs = [cfg for cfg in all_configs() if cfg.use_nerve]
     with_leaf = [[euler(c, cfg) for cfg in configs] for c in cases]
     assert any(s.base_case_hits.get("lattice") for row in with_leaf for _, s in row)
@@ -647,6 +661,99 @@ def test_lattice_leaf_changes_no_value(rng, monkeypatch):
             value, stats = euler(c, cfg)
             assert value == want, (c, cfg)
             assert "lattice" not in stats.base_case_hits
+
+
+# --- vertex-lattice leaf ---------------------------------------------------------
+
+
+def test_vertex_lattice_solves_every_skeleton_at_the_root():
+    # the k-subsets of n <= _LEAF_FACETS vertices, the (k-1)-skeleton of a
+    # simplex: χ̃ = (-1)^(k-1) C(n-1, k).  One of more than _LEAF_FACETS
+    # facets ends at the root, on its vertex lattice or, after dbms's nerve
+    # (n facets), on its facet lattice
+    leaf = engine._LEAF_FACETS
+    configs = [EngineConfig(algorithm=a, use_nerve=nv) for a in ALGORITHMS for nv in (True, False)]
+    large = 0
+    for n in range(1, leaf + 1):
+        for k in range(1, n + 1):
+            c = make_complex(n, combinations(range(n), k))
+            for cfg in configs:
+                value, stats = euler(c, cfg)
+                assert value == (-1) ** (k - 1) * comb(n - 1, k), (n, k, cfg)
+                assert c.num_facets <= leaf or stats.nodes_expanded == 1, (n, k, cfg)
+            large += c.num_facets > leaf
+    assert large > 50
+
+
+def test_vertex_lattice_matches_oracle_random(rng):
+    # 200 antichains of 17-200 facets on 8-16 vertices, each solved at the
+    # root under both algorithms, with the nerve and without
+    leaf = engine._LEAF_FACETS
+    configs = [EngineConfig(algorithm=a, use_nerve=nv) for a in ALGORITHMS for nv in (True, False)]
+    checked = 0
+    while checked < 200:
+        n = rng.randint(8, 16)
+        sizes = range(n // 2 - 1, n // 2 + 2)
+        c = make_complex(n, [rng.sample(range(n), rng.choice(sizes)) for _ in range(rng.randint(17, 200))])
+        if c.num_facets <= leaf:
+            continue
+        want = euler_by_subsets(c)
+        for cfg in configs:
+            value, stats = euler(c, cfg)
+            assert (value, stats.nodes_expanded) == (want, 1), (c, cfg)
+        checked += 1
+
+
+def cycle_with_a_chord(n, base=0):
+    """The n-cycle on vertices base, base + 3, ... plus the chord from the
+    first to the third: n + 1 edges, no cone, χ̃ = -1 + n - (n + 1) = -2."""
+    ring = [base + 3 * i for i in range(n)]
+    edges = [(ring[i], ring[(i + 1) % n]) for i in range(n)] + [(ring[0], ring[2])]
+    return make_complex(base + 3 * n, edges)
+
+
+def test_vertex_lattice_takes_at_most_leaf_live_vertices():
+    leaf = engine._LEAF_FACETS
+    at, above = cycle_with_a_chord(leaf), cycle_with_a_chord(leaf + 1)
+    assert at.num_facets > leaf and try_base_case(at) == -2
+    assert try_base_case(above) is None
+    for alg in ALGORITHMS:
+        value, stats = euler(above, EngineConfig(algorithm=alg))
+        assert value == -2 and stats.nodes_expanded > 1, alg
+
+
+def test_bcrt_splits_only_nodes_of_many_live_vertices(monkeypatch):
+    # a node of at most _LEAF_FACETS live vertices is a leaf, so every node
+    # that reaches a bcrt pivot has more
+    live = []
+    select = engine._select_bcrt_masked
+
+    def spy(alive, *rest):
+        live.append(alive.bit_count())
+        return select(alive, *rest)
+
+    monkeypatch.setattr(engine, "_select_bcrt_masked", spy)
+    value, _ = euler(generate(parse_spec("nicgraph:7,2")), EngineConfig(algorithm="bcrt"))
+    assert value == -120
+    assert live and min(live) > engine._LEAF_FACETS, live
+
+
+def test_vertex_lattice_memory_is_bounded():
+    # 16 live vertices above bit 2^20 in 17 facets of 128 KB each.  The
+    # generators are the facets re-packed onto bits 0-15 (1 << f of a raw
+    # facet would have 2^(2^20) bits), and the re-pack holds one facet at
+    # full width at a time (a copy of every facet would be 2.2 MB)
+    leaf = engine._LEAF_FACETS
+    c = cycle_with_a_chord(leaf, 1 << 20)
+    assert c.num_facets > leaf and reduce(or_, c.facets).bit_count() == leaf
+    tracemalloc.start()
+    try:
+        values = [try_base_case(c)] + [euler(c, EngineConfig(algorithm=a))[0] for a in ALGORITHMS]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert values == [-2, -2, -2]
 
 
 def blown_up_boundary(k):
@@ -733,15 +840,18 @@ def test_table_hits_keep_golden_values():
 
 
 def test_table_eviction_changes_no_value(monkeypatch):
-    rook = generate(parse_spec("rook:6,6"))
+    # match-11 bcrt evicts nothing in the full table and loses hits in a
+    # 64-facet one (rook-6-6, the earlier instance, lost none once its
+    # small nodes became leaves)
+    match = generate(parse_spec("match:11"))
     cfg = EngineConfig(algorithm="bcrt")
-    want, roomy = euler(rook, cfg)
+    want, roomy = euler(match, cfg)
     monkeypatch.setattr(engine, "_TABLE_FACETS", 64)
-    value, stats = euler(rook, cfg)
-    assert value == want == 185
+    value, stats = euler(match, cfg)
+    assert value == want == -936
     assert stats.cache_evictions > roomy.cache_evictions
     assert stats.nodes_expanded > roomy.nodes_expanded
-    again = euler(rook, cfg)[1]
+    again = euler(match, cfg)[1]
     assert again.counters() == stats.counters()
     assert (again.cache_hits, again.cache_evictions) == (stats.cache_hits, stats.cache_evictions)
 
@@ -766,21 +876,21 @@ def test_counters_keep_their_five_keys():
 # here first
 PINNED_SEARCHES = [
     ("rook:6,6", "dbms", 185, 167, 0, 1, {"lattice": 84}, 0, 0, 0),
-    ("rook:6,6", "bcrt", 185, 245, 0, 0, {"cone": 1, "lattice": 66}, 56, 0, 70),
+    ("rook:6,6", "bcrt", 185, 153, 0, 0, {"lattice": 69}, 8, 0, 9),
     ("match:10", "dbms", -1216, 321, 0, 1, {"lattice": 161}, 0, 0, 0),
-    ("match:10", "bcrt", -1216, 389, 0, 0, {"lattice": 177}, 18, 0, 37),
+    ("match:10", "bcrt", -1216, 289, 0, 0, {"lattice": 133}, 12, 0, 14),
     ("nicgraph:7,2", "dbms", -120, 61, 2, 1, {"lattice": 31}, 0, 0, 0),
-    ("nicgraph:7,2", "bcrt", -120, 1063, 56, 0, {"cone": 87, "lattice": 413}, 32, 0, 275),
+    ("nicgraph:7,2", "bcrt", -120, 63, 0, 0, {"lattice": 32}, 0, 0, 5),
     ("match:11", "dbms", -936, 251, 0, 1, {"lattice": 104}, 22, 0, 0),
     ("rook:6,6", "dbms/rarest", 185, 151, 0, 1, {"lattice": 76}, 0, 0, 0),
 ]
 
 # the rows whose search relabelled keys change, as they read with exact keys
-# alone (nodes, eliminations, nerves, base-case hits, table hits, evictions)
+# alone (nodes, eliminations, nerves, base-case hits, table hits, evictions);
+# nicgraph-7-2 bcrt's 5 relabelled lookups all miss, so it reads the same
 EXACT_KEY_SEARCHES = {
-    ("rook:6,6", "bcrt"): (555, 0, 0, {"cone": 1, "lattice": 252}, 25, 0),
-    ("match:10", "bcrt"): (567, 0, 0, {"lattice": 282}, 2, 0),
-    ("nicgraph:7,2", "bcrt"): (1197, 66, 0, {"cone": 97, "lattice": 501}, 1, 0),
+    ("rook:6,6", "bcrt"): (167, 0, 0, {"lattice": 83}, 1, 0),
+    ("match:10", "bcrt"): (309, 0, 0, {"lattice": 153}, 2, 0),
 }
 
 

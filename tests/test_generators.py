@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import combinations
 
 import pytest
@@ -12,6 +13,7 @@ from eulerchar import (
     gen_random,
     gen_rook,
 )
+from eulerchar import generators
 from eulerchar._bitops import iter_bits
 from eulerchar.generators import GeneratorSpec, edge_index, generate, parse_spec
 
@@ -57,16 +59,27 @@ def test_gen_random_single_vertex():
     assert c.n == 1 and c.facets in ((0,), (1,))
 
 
-def test_gen_random_saturates():
+def test_gen_random_saturates(monkeypatch):
     # one vertex admits only one facet, and C(4, 2) = 6 sets is the largest
     # antichain on 4 vertices (Sperner): both are refused before sampling.
-    # Six facets on 4 vertices fit, but seed 0 draws facets that no
-    # 6-antichain extends, so sampling gives up.
+    # Six facets on 4 vertices fit, but seed 0 first draws a 3-set, which no
+    # 6-antichain extends, so with one draw allowed sampling gives up.
     for n, m in ((1, 2), (4, 7)):
         with pytest.raises(CapacityError, match="no antichain"):
             gen_random(n, m, 0)
+    monkeypatch.setattr(generators, "_RANDOM_ATTEMPTS", 1)
     with pytest.raises(CapacityError, match="saturated"):
         gen_random(4, 6, 0)
+
+
+def test_gen_random_restarts_a_saturated_draw():
+    # the six 2-sets are the only 6-antichain on 4 vertices; seed 0 reaches
+    # them on its eighth draw, each saturated one costing 60,000 rejections
+    start = time.perf_counter()
+    c = gen_random(4, 6, 0)
+    assert time.perf_counter() - start < 1
+    assert c == gen_random(4, 6, 0)
+    assert c.facets == tuple(sorted(1 << a | 1 << b for a, b in combinations(range(4), 2)))
 
 
 # --- rook -------------------------------------------------------------------
