@@ -16,7 +16,7 @@ and solves any other node of at most _LEAF_FACETS facets or at most
 _LEAF_FACETS live vertices as a leaf, by one closure on a subset lattice in
 a 2^k-bit integer (the paper's inclusion-exclusion over the lcms of a few
 generators, done bit parallel): _lattice_masked takes χ̃ of the nerve from
-the sets of facets that share a vertex, _vertex_lattice takes χ̃ of the node
+the sets of facets that share a vertex, the vertex lattice χ̃ of the node
 itself from its facets re-packed onto its live vertices.  None of this needs
 simplified facets, so a node (the root and every child alike) that arrives
 with at most _LEAF_FACETS facets goes to the terminal step at once; the
@@ -100,8 +100,8 @@ _ISO_BITS = 128
 # instead of by pivot splits, if it has at most _LEAF_FACETS facets
 # (_lattice_masked, as it arrives or after simplify and the nerve, whichever
 # comes first) or, after simplify and the nerve, at most _LEAF_FACETS live
-# vertices (_vertex_lattice; dbms takes the nerve of such a node first, so in
-# practice only bcrt and runs without the nerve get there).  The closure works
+# vertices (on its vertex lattice; dbms takes the nerve of such a node first,
+# so in practice only bcrt and runs without the nerve get there).  The closure works
 # on a 2^k-bit set of subsets of the k facets or vertices, so the cost per
 # leaf doubles with each one, and 0 turns both leaves off.  Sweep of the
 # facet bound, perfbench wall_s in reference s (one 10 s run, seed 1; 8
@@ -267,9 +267,9 @@ def _base_case_masked(facets, alive=None):
     Void, {∅} and a cone (a vertex in all m facets) have fixed values; any
     other node of at most _LEAF_FACETS facets or at most _LEAF_FACETS live
     vertices is a leaf, solved on the subset lattice of its facet indices
-    (_lattice_masked) or of its live vertices (_vertex_lattice).  None is left
-    for a non-cone with more of both, which goes on to a split.  No step needs
-    simplified facets; alive, the facets' union, is computed if not given.
+    (_lattice_masked) or of its live vertices.  None is left for a non-cone
+    with more of both, which goes on to a split.  No step needs simplified
+    facets; alive, the facets' union, is computed if not given.
     """
     m = len(facets)
     if m == 0:
@@ -283,7 +283,9 @@ def _base_case_masked(facets, alive=None):
     if m <= _LEAF_FACETS:
         return _lattice_masked(alive, facets), "lattice"
     if alive.bit_count() <= _LEAF_FACETS:
-        return _vertex_lattice(alive, facets), "lattice"
+        # the facets, re-packed onto the k live vertices, generate the faces
+        k, packed = compress_columns(alive, facets)
+        return _closed_chi(reduce(or_, (1 << f for f in packed)), k), "lattice"
     return None
 
 
@@ -330,14 +332,6 @@ def _lattice_masked(alive, facets):
                 row |= 1 << i
         u |= 1 << row
     return _closed_chi(u, m)
-
-
-def _vertex_lattice(alive, facets):
-    """χ̃ of a non-void complex on at most _LEAF_FACETS live vertices (alive),
-    summed on the subset lattice of those vertices: its facets, re-packed onto
-    0..k-1, are the generators of its faces."""
-    k, packed = compress_columns(alive, facets)
-    return _closed_chi(reduce(or_, (1 << f for f in packed)), k)
 
 
 def _closed_chi(u, k):

@@ -666,18 +666,24 @@ def test_lattice_leaf_changes_no_value(rng, monkeypatch):
 # --- vertex-lattice leaf ---------------------------------------------------------
 
 
+def default_configs():
+    """Both algorithms at their default pivots, with the nerve and without."""
+    for alg in ALGORITHMS:
+        for nv in (True, False):
+            yield EngineConfig(algorithm=alg, use_nerve=nv)
+
+
 def test_vertex_lattice_solves_every_skeleton_at_the_root():
     # the k-subsets of n <= _LEAF_FACETS vertices, the (k-1)-skeleton of a
     # simplex: χ̃ = (-1)^(k-1) C(n-1, k).  One of more than _LEAF_FACETS
     # facets ends at the root, on its vertex lattice or, after dbms's nerve
     # (n facets), on its facet lattice
     leaf = engine._LEAF_FACETS
-    configs = [EngineConfig(algorithm=a, use_nerve=nv) for a in ALGORITHMS for nv in (True, False)]
     large = 0
     for n in range(1, leaf + 1):
         for k in range(1, n + 1):
             c = make_complex(n, combinations(range(n), k))
-            for cfg in configs:
+            for cfg in default_configs():
                 value, stats = euler(c, cfg)
                 assert value == (-1) ** (k - 1) * comb(n - 1, k), (n, k, cfg)
                 assert c.num_facets <= leaf or stats.nodes_expanded == 1, (n, k, cfg)
@@ -689,7 +695,6 @@ def test_vertex_lattice_matches_oracle_random(rng):
     # 200 antichains of 17-200 facets on 8-16 vertices, each solved at the
     # root under both algorithms, with the nerve and without
     leaf = engine._LEAF_FACETS
-    configs = [EngineConfig(algorithm=a, use_nerve=nv) for a in ALGORITHMS for nv in (True, False)]
     checked = 0
     while checked < 200:
         n = rng.randint(8, 16)
@@ -698,7 +703,7 @@ def test_vertex_lattice_matches_oracle_random(rng):
         if c.num_facets <= leaf:
             continue
         want = euler_by_subsets(c)
-        for cfg in configs:
+        for cfg in default_configs():
             value, stats = euler(c, cfg)
             assert (value, stats.nodes_expanded) == (want, 1), (c, cfg)
         checked += 1
