@@ -642,8 +642,9 @@ def test_lattice_leaf_memory_is_bounded():
 def test_lattice_leaf_changes_no_value(rng, monkeypatch):
     # the same complexes solved with the leaf and, with _LEAF_FACETS at 0 (no
     # leaf on either lattice), by pivot splits down to void, {∅} and cones
-    # alone; 17-40 facets of 2-6 of 17-24 vertices, so most keep more than
-    # _LEAF_FACETS facets and live vertices and reach a leaf only after splits
+    # alone; 17-40 facets of 2-6 vertices each on 17-24 vertices, so most keep
+    # more than _LEAF_FACETS facets and live vertices and reach a leaf only
+    # after splits
     leaf = engine._LEAF_FACETS
     cases = []
     for _ in range(200):
