@@ -2,20 +2,21 @@
 """Benchmark harness: compare algorithms and pivot strategies on the
 generated families, reporting median wall time, node counts, abundant-vertex
 eliminations (one per missing facet dropped by simplification), subproblem
-table hits (subtrees the table saved), independence splits (nodes too
-large for the table that split into independent factors) and sum splits
-(nodes too large for the table that split into vertex-disjoint parts).
+table hits (subtrees the table saved), independence splits (nodes above the
+split threshold that split into independent factors) and sum splits (nodes
+above it that split into vertex-disjoint parts).
 
 With --json PATH the rows also go to PATH as one JSON document: per
 instance and configuration χ̃, counters(), sum_splits, cache_hits,
 cache_evictions, relabelled_keys (table lookups made under a
-degree-relabelled copy), the median seconds, the median in reference seconds
-and the row's peak RSS (ru_maxrss, KB; each row runs in a fresh process
-that receives the instance, so its figure is that row's alone), plus the
-Python version, the usable CPU count, the git commit of the checkout and
-whether the checkout has uncommitted changes or untracked files (dirty; None
-outside git).  Every timed run sits between two runs
-of perfbench/run.py's calibration loop, which scales it to reference seconds
+degree-relabelled copy), max_depth (the deepest stack of pending work, along
+which the table keys of unsolved nodes are held), the median seconds, the
+median in reference seconds and the row's peak RSS (ru_maxrss, KB; each row
+runs in a fresh process that receives the instance, so its figure is that
+row's alone), plus the Python version, the usable CPU count, the git commit
+of the checkout and whether the checkout has uncommitted changes or untracked
+files (dirty; None outside git).  Every timed run sits between two runs of
+perfbench/run.py's calibration loop, which scales it to reference seconds
 (see that file): the seconds the run would take on a host where the loop
 takes its reference time, so points from different hosts and hours compare.
 
@@ -191,6 +192,7 @@ def main(argv=None):
                         "cache_hits": stats.cache_hits,
                         "cache_evictions": stats.cache_evictions,
                         "relabelled_keys": stats.relabelled_keys,
+                        "max_depth": stats.max_depth,
                         "median_s": med,
                         "median_ref_s": med_ref,
                         "repeat": args.repeat,

@@ -79,6 +79,7 @@ def _cmd_euler(args) -> int:
             counters["cache_hits"] = stats.cache_hits
             counters["cache_evictions"] = stats.cache_evictions
             counters["relabelled_keys"] = stats.relabelled_keys
+            counters["max_depth"] = stats.max_depth
             counters["algorithm"] = args.algorithm
             counters["pivot"] = cfg.resolved_pivot()
             return value, counters

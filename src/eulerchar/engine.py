@@ -27,21 +27,21 @@ width far exceeds their count.  It is then simplified: unused vertices are
 dropped, and each pass eliminates all of its abundant vertices in one batch,
 with one sign flip per missing facet and one maximal_sets (see
 _simplify_masked for why that equals eliminating them one at a time).  If
-too large for the table below, it is split into independent factors
+it has more than _SPLIT_FACETS facets, it is split into independent factors
 Δ_A ⊕ Δ_B (whose χ̃ multiply) or else into k ≥ 2 vertex-disjoint parts
-(whose χ̃ add, plus k - 1).  Otherwise it is possibly replaced by its nerve
-and tried at the terminal step again, and any node left goes on to a pivot
-split.
+(whose χ̃ add, plus k - 1), when it has them.  Otherwise it is possibly
+replaced by its nerve and tried at the terminal step again, and any node
+left goes on to a pivot split.
 
-A node small enough for the table (at most _TABLE_KEY_FACETS facets) that
-reaches its pivot split is first looked up in a subproblem table that lives
-for one euler() call and maps facet tuples to unsigned χ̃: the node's exact
-facets or, on a narrow node whose shape came up before, those of a copy
-relabelled by degree, which isomorphic nodes share.  A hit replaces the whole
-subtree by the stored value, a miss stores the value once the subtree is
-solved.  Evaluation is an explicit stack machine, so recursion depth is
-bounded regardless of instance size, and all randomness is derived from
-(seed, node path), which makes every run bit-reproducible.
+A node of at most _TABLE_KEY_FACETS facets (a bound apart from, and above,
+the split threshold) that reaches its pivot split is first looked up in a
+subproblem table that lives for one euler() call and maps facet tuples to
+unsigned χ̃: the node's exact facets or, on a narrow node whose shape came up
+before, those of a copy relabelled by degree, which isomorphic nodes share.
+A hit replaces the whole subtree by the stored value, a miss stores the value
+once the subtree is solved.  Evaluation is an explicit stack machine, so
+recursion depth is bounded regardless of instance size, and all randomness is
+derived from (seed, node path), which makes every run bit-reproducible.
 """
 
 import time
@@ -76,18 +76,33 @@ DEFAULT_PIVOT = {"bcrt": "popvar", "dbms": "raremax"}
 _COMPRESS_MIN_WIDTH = 2048
 _COMPRESS_RATIO = 3
 
+# Only a node of more than _SPLIT_FACETS facets tries the join and then the
+# sum split; a smaller one relies on the table, which finds the repeats a
+# split would expose.  Either split at every node lost (match-10 dbms 3,547 ->
+# 4,876 nodes).
+_SPLIT_FACETS = 64
 # The subproblem table keys only nodes of at most _TABLE_KEY_FACETS facets.
 # A key is held from a node's split until its subtree is solved, so keying
 # every size piles keys up along a deep bcrt stack (655,497 facets at once on
-# rook-8-8, +19 MB peak RSS), and on the golden families large keys repeat so
-# rarely that they mostly push small, often repeated ones out of the table.
-# It is also the threshold of both splits: only a larger node tries the join
-# and then the sum split, so small nodes rely on the table (which finds the
-# repeats a split would expose) and large ones split until it can key them.
-_TABLE_KEY_FACETS = 64
+# rook-8-8, +19 MB peak RSS, before the vertex-lattice leaf), and large keys
+# push small, often repeated ones out of the table.  At 512 rook-8-8 bcrt
+# peaks at 22.8 MB (21.8 keyed up to 64) with a stack of at most 97 items.
+# Sweep, bcrt nodes keyed up to 64 / 256 / 512 / 1,024 facets (2^14-facet
+# table): rook-7-7 1,393 / 435 / 327 / 241, match-12 3,859 / 1,015 / 847 /
+# 533, rook-8-8 14,301 / 3,973 / 2,669 / 1,745, match-13 10,689 / 6,633 /
+# 8,177 / 8,119 (evictions 0 / 1,776 / 3,330 / 3,592), nicgraph-9-2 105,519
+# / 105,505 / 105,537 / 105,537.  narrow-bcrt's rook-6-6 (77), match-10 (113)
+# and nicgraph-7-2 (63) read the same from 256 up; at 1,024 match-10 also
+# keys its nodes of 513 to 1,024 facets for no hit, and narrow-bcrt read
+# 0.086 and 0.083 against 0.082 reference s (one 10 s run a seed, seeds 1-2).
+_TABLE_KEY_FACETS = 512
 # the table holds keys of at most this many facets in total; a store that
 # would pass it evicts the oldest entries first (deterministic, so the
-# counters repeat from run to run)
+# counters repeat from run to run).  Sweep with keys up to 512 facets,
+# 2^14 / 2^16 / 2^18: narrow-bcrt evicts nothing at 2^14, so its nodes do
+# not move; match-13 bcrt 8,177 / 4,965 / 4,565 nodes at 35.5 / 35.4 /
+# 37.5 MB, nicgraph-9-2 bcrt 105,537 / 92,041 / 76,565 nodes at 18.2 / 20.2 /
+# 28.1 MB.
 _TABLE_FACETS = 1 << 14
 # A keyed node that misses is looked up again under _iso_facets, a copy
 # relabelled by degree, if its live vertices fit in _ISO_BITS bits (a wide
@@ -170,6 +185,7 @@ class EngineStats:
     cache_hits: int = 0  # subproblem-table traffic
     cache_evictions: int = 0
     relabelled_keys: int = 0  # lookups made under _iso_facets
+    max_depth: int = 0  # deepest todo stack; pending table keys lie along it
     elapsed: float = 0.0
 
     def counters(self):
@@ -512,7 +528,10 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
     table = {}  # insertion-ordered, so its first key is the oldest
     held = 0  # facets in the table's keys
     shapes = set()  # shape hashes of the narrow nodes looked up so far
+    depth = 0
     while todo:
+        if len(todo) > depth:
+            depth = len(todo)
         item = todo.pop()
         op = item[0]
         if op != _NODE:
@@ -544,7 +563,7 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
         sign *= flip
         stats.abundant_eliminations += elim
 
-        if len(facets) > _TABLE_KEY_FACETS:
+        if len(facets) > _SPLIT_FACETS:
             pair = _independent_pair_masked(alive, facets)
             if pair is not None:
                 a, b = pair
@@ -613,12 +632,17 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
             sigma = _select_bcrt_masked(alive, facets, planes, strategy, key)
             # termination needs σ ⊊ V and σ ∉ Δ: the deletion branch loses a
             # vertex, the link loses e and the facets without it, and the
-            # union branch gains the new face σ
-            assert sigma != alive and all(sigma & ~f for f in facets)
+            # union branch gains the new face σ.  A facet holding σ = V∖{e}
+            # is σ or V, so a single-vertex σ needs only two list scans
+            ebit = alive & ~sigma
+            assert ebit and (
+                sigma not in facets and alive not in facets if not ebit & (ebit - 1)
+                else all(sigma & ~f for f in facets))
             first, second, s = _split_bcrt_masked(alive, facets, sigma)
         todo.append((_NODE, second, _child_key(key, 1), s * sign))
         todo.append((_NODE, first, _child_key(key, 0), sign))
 
+    stats.max_depth = depth
     stats.elapsed = time.perf_counter() - t0
     return vals.pop(), stats
 

@@ -39,8 +39,9 @@ def test_benchmark_writes_json(tmp_path):
         assert row["instance"] == "rook:3,3" and row["chi"] == -4
         assert set(row["counters"]) == COUNTERS
         for key in ("sum_splits", "cache_hits", "cache_evictions", "relabelled_keys",
-                    "ru_maxrss_kb"):
+                    "max_depth", "ru_maxrss_kb"):
             assert isinstance(row[key], int), key
+        assert row["max_depth"] >= 1
         assert row["median_s"] >= 0
         # the same runs scaled by perfbench's calibration loop
         assert isinstance(row["median_ref_s"], float) and row["median_ref_s"] > 0

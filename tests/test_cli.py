@@ -150,6 +150,14 @@ def test_euler_stats_line_is_json(tmp_path, capsys):
     assert stats["nodes_expanded"] >= 1
     assert stats["sum_splits"] == stats["independence_splits"] == 0
     assert stats["cache_hits"] == stats["cache_evictions"] == stats["relabelled_keys"] == 0
+    # a leaf at entry: the root is all the stack ever holds
+    assert stats["max_depth"] == 1
+    # counters()' five keys, then the EngineStats fields outside them
+    assert set(stats) == {
+        "nodes_expanded", "base_case_hits", "nerve_applications", "abundant_eliminations",
+        "independence_splits", "sum_splits", "cache_hits", "cache_evictions",
+        "relabelled_keys", "max_depth", "algorithm", "pivot",
+    }
     assert "elapsed" not in stats  # deterministic stdout; timing goes to stderr
     assert "elapsed median" in err
 

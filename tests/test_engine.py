@@ -493,10 +493,11 @@ def test_large_join_splits_into_factors():
 
 
 def test_cone_over_a_large_join_splits_before_its_terminal_step():
-    # an apex in every facet of a 30-block join: 90 facets, too many for the
-    # table, so the node takes the join split and the cone lands in a factor.
-    # The apex lies in no facet complement, so a split kernel that gives each
-    # complement component its own factor would drop it (and return 2^30)
+    # an apex in every facet of a 30-block join: 90 facets, more than the
+    # split threshold, so the node takes the join split and the cone lands in
+    # a factor.  The apex lies in no facet complement, so a split kernel that
+    # gives each complement component its own factor would drop it (and
+    # return 2^30)
     from eulerchar.reductions import _power_block
 
     block = _power_block(30)
@@ -509,10 +510,10 @@ def test_cone_over_a_large_join_splits_before_its_terminal_step():
         assert stats.independence_splits > 0, alg
 
 
-def test_points_split_into_one_part_each_above_the_table_size():
+def test_points_split_into_one_part_each_above_the_split_threshold():
     # 100 isolated points: no join, so the root takes one 100-part sum split,
-    # each part a single point (a cone), and χ̃ = 0·100 + 99.  64 points fit
-    # the table, so they go through pivot splits instead
+    # each part a single point (a cone), and χ̃ = 0·100 + 99.  64 points do
+    # not pass the split threshold, so they go through pivot splits instead
     from eulerchar.reductions import _points
 
     for alg in ("dbms", "bcrt"):
@@ -524,9 +525,9 @@ def test_points_split_into_one_part_each_above_the_table_size():
 
 
 def test_disjoint_union_is_the_sum_plus_parts_less_one(rng):
-    # three parts of 18, 18 and 30 facets on 19 vertices: too many facets for
-    # the table, no join, so the root splits into its three parts (once
-    # simplified, at sign -1, in the flipped copy)
+    # three parts of 18, 18 and 30 facets on 19 vertices: more facets than
+    # the split threshold, no join, so the root splits into its three parts
+    # (once simplified, at sign -1, in the flipped copy)
     for trial in range(4):
         parts = [
             make_complex(n, rng.sample(list(combinations(range(n), 3)), m))
@@ -846,9 +847,9 @@ def test_table_hits_keep_golden_values():
 
 
 def test_table_eviction_changes_no_value(monkeypatch):
-    # match-11 bcrt evicts nothing in the full table and loses hits in a
-    # 64-facet one (rook-6-6, the earlier instance, lost none once its
-    # small nodes became leaves)
+    # match-11 bcrt evicts 108 entries in the full table and more, losing
+    # hits, in a 64-facet one (rook-6-6, the earlier instance, lost none once
+    # its small nodes became leaves)
     match = generate(parse_spec("match:11"))
     cfg = EngineConfig(algorithm="bcrt")
     want, roomy = euler(match, cfg)
@@ -862,9 +863,79 @@ def test_table_eviction_changes_no_value(monkeypatch):
     assert (again.cache_hits, again.cache_evictions) == (stats.cache_hits, stats.cache_evictions)
 
 
+def _large_hits(events):
+    """Table hits on nodes above the split threshold, from a spy's events: the
+    facet count of a node that reached the table (its terminal step found
+    nothing), or None for a pivot choice, which follows only a miss."""
+    ends = events[1:] + [0]
+    return sum(1 for m, nxt in zip(events, ends)
+               if m and m > engine._SPLIT_FACETS and nxt is not None)
+
+
+def test_large_keys_save_nodes(monkeypatch):
+    # rook-6-6 and match-10 bcrt take values from the table on nodes of more
+    # than _SPLIT_FACETS facets; keyed only up to the split threshold they give
+    # the same χ̃ from more nodes
+    events = []
+    base_case, select = engine._base_case_masked, engine._select_bcrt_masked
+
+    def spy_base_case(facets, alive=None):
+        bc = base_case(facets, alive)
+        if bc is None:
+            events.append(len(facets))
+        return bc
+
+    def spy_select(*args):
+        events.append(None)
+        return select(*args)
+
+    monkeypatch.setattr(engine, "_base_case_masked", spy_base_case)
+    monkeypatch.setattr(engine, "_select_bcrt_masked", spy_select)
+    cases = {"rook:6,6": 185, "match:10": -1216}
+    cfg = EngineConfig(algorithm="bcrt")
+    nodes = {}
+    for spec, want in cases.items():
+        events.clear()
+        value, stats = euler(generate(parse_spec(spec)), cfg)
+        assert value == want, spec
+        assert _large_hits(events) >= 1, spec
+        nodes[spec] = stats.nodes_expanded
+    monkeypatch.setattr(engine, "_TABLE_KEY_FACETS", engine._SPLIT_FACETS)
+    for spec, want in cases.items():
+        events.clear()
+        value, stats = euler(generate(parse_spec(spec)), cfg)
+        assert value == want, spec
+        assert _large_hits(events) == 0, spec
+        assert stats.nodes_expanded > nodes[spec], spec
+
+
+@pytest.mark.parametrize("faces", [
+    [{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}],  # each facet misses one vertex
+    [{0, 1}, {1, 2}, {2, 3}, {0, 3}],  # each facet misses two
+], ids=["one_missing", "two_missing"])
+def test_bcrt_pivot_check_rejects_a_face(faces, monkeypatch):
+    # with the leaves off and no abundant-vertex elimination (which would take
+    # the tetrahedron boundary's vertices), both roots reach a pivot split; a
+    # selector that returns a facet as σ breaks termination, and the check in
+    # euler() catches it on both of its paths
+    def unsimplified(facets):
+        planes = count_planes(facets)
+        return reduce(or_, planes, 0), facets, planes, 1, 0
+
+    c = cx(4, *faces)
+    cfg = EngineConfig(algorithm="bcrt", use_nerve=False)
+    monkeypatch.setattr(engine, "_LEAF_FACETS", 0)
+    assert euler(c, cfg)[0] == euler_by_subsets(c)
+    monkeypatch.setattr(engine, "_simplify_masked", unsimplified)
+    monkeypatch.setattr(engine, "_select_bcrt_masked", lambda alive, facets, *_: facets[0])
+    with pytest.raises(AssertionError):
+        euler(c, cfg)
+
+
 def test_counters_keep_their_five_keys():
     # the benchmark (perfbench/run.py) sums exactly these keys per pass;
-    # sum_splits and the table's counts are EngineStats fields outside them
+    # sum_splits, the table's counts and max_depth are EngineStats fields
+    # outside them
     _, stats = euler(generate(parse_spec("match:9")), EngineConfig(algorithm="bcrt"))
     assert set(stats.counters()) == {
         "nodes_expanded",
@@ -875,6 +946,18 @@ def test_counters_keep_their_five_keys():
     }
 
 
+def test_max_depth_is_the_deepest_stack():
+    # a leaf at entry holds only the root; a split pushes each child with at
+    # most one operation that combines it, so the stack never holds more than
+    # two items per node
+    assert euler(cx(3, {0, 1}, {1, 2}, {0, 2}))[1].max_depth == 1
+    c = generate(parse_spec("rook:6,6"))
+    for alg in ("dbms", "bcrt"):
+        _, stats = euler(c, EngineConfig(algorithm=alg))
+        assert 1 < stats.max_depth <= 2 * stats.nodes_expanded, alg
+        assert euler(c, EngineConfig(algorithm=alg))[1].max_depth == stats.max_depth, alg
+
+
 # (spec, algorithm, χ̃, nodes, eliminations, nerves, base-case hits, table
 # hits, evictions, relabelled lookups) under the algorithm's default pivot, or
 # the one named after a slash, with no join or sum split anywhere: a change
@@ -882,21 +965,21 @@ def test_counters_keep_their_five_keys():
 # here first
 PINNED_SEARCHES = [
     ("rook:6,6", "dbms", 185, 167, 0, 1, {"lattice": 84}, 0, 0, 0),
-    ("rook:6,6", "bcrt", 185, 153, 0, 0, {"lattice": 69}, 8, 0, 9),
+    ("rook:6,6", "bcrt", 185, 77, 0, 0, {"lattice": 31}, 8, 0, 17),
     ("match:10", "dbms", -1216, 321, 0, 1, {"lattice": 161}, 0, 0, 0),
-    ("match:10", "bcrt", -1216, 289, 0, 0, {"lattice": 133}, 12, 0, 14),
+    ("match:10", "bcrt", -1216, 113, 0, 0, {"lattice": 45}, 12, 0, 25),
     ("nicgraph:7,2", "dbms", -120, 61, 2, 1, {"lattice": 31}, 0, 0, 0),
-    ("nicgraph:7,2", "bcrt", -120, 63, 0, 0, {"lattice": 32}, 0, 0, 5),
+    ("nicgraph:7,2", "bcrt", -120, 63, 0, 0, {"lattice": 32}, 0, 0, 14),
     ("match:11", "dbms", -936, 251, 0, 1, {"lattice": 104}, 22, 0, 0),
     ("rook:6,6", "dbms/rarest", 185, 151, 0, 1, {"lattice": 76}, 0, 0, 0),
 ]
 
 # the rows whose search relabelled keys change, as they read with exact keys
 # alone (nodes, eliminations, nerves, base-case hits, table hits, evictions);
-# nicgraph-7-2 bcrt's 5 relabelled lookups all miss, so it reads the same
+# nicgraph-7-2 bcrt's 14 relabelled lookups all miss, so it reads the same
 EXACT_KEY_SEARCHES = {
-    ("rook:6,6", "bcrt"): (167, 0, 0, {"lattice": 83}, 1, 0),
-    ("match:10", "bcrt"): (309, 0, 0, {"lattice": 153}, 2, 0),
+    ("rook:6,6", "bcrt"): (161, 0, 0, {"lattice": 80}, 1, 0),
+    ("match:10", "bcrt"): (293, 0, 0, {"lattice": 145}, 2, 0),
 }
 
 

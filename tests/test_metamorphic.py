@@ -103,15 +103,15 @@ def test_relations_agree_above_oracle_range(seed, monkeypatch):
         assert value(nerve(cx), algorithm=alg) == want, (seed, alg)
         assert value(negate_euler(cx), algorithm=alg) == -want, (seed, alg)
 
-    # a factor with a known χ̃ = k; with every node keyed (so none tries the
-    # independence split) the engine takes the join apart by pivot splits,
-    # and its three-point blocks repeat subproblems, so both algorithms take
-    # values from the table
+    # a factor with a known χ̃ = k; with the split threshold out of reach (so
+    # no node tries the independence split) the engine takes the join apart
+    # by pivot splits, and its three-point blocks repeat subproblems, so both
+    # algorithms take values from the table
     k = rng.choice((-1, 1)) * rng.randint(2, 12)
     joined = join(cx, complex_with_euler(k))
     for alg in ("dbms", "bcrt"):
         assert value(joined, algorithm=alg) == want * k, (seed, k, alg)
-    monkeypatch.setattr(engine, "_TABLE_KEY_FACETS", 1 << 30)
+    monkeypatch.setattr(engine, "_SPLIT_FACETS", 1 << 30)
     hits = {"dbms": 0, "bcrt": 0}
     for cfg in all_configs(seed):
         got, stats = euler(joined, cfg)
@@ -123,12 +123,13 @@ def test_relations_agree_above_oracle_range(seed, monkeypatch):
 @pytest.mark.parametrize("seed", UNION_SEEDS)
 def test_disjoint_union_adds_above_oracle_range(seed):
     # χ̃(A ⊔ B ⊔ C) = χ̃(A) + χ̃(B) + χ̃(C) + 2 on three sparse complexes whose
-    # vertices interleave in one universe: more facets than the table keys,
-    # so the engine takes the sum split and solves each part on its own
+    # vertices interleave in one universe: more facets than the split
+    # threshold, so the engine takes the sum split and solves each part on its
+    # own
     rng = random.Random(2000 + seed)
     parts = [sparse_complex(rng, (30, 60), (25, 60)) for _ in range(3)]
     union = interleaved_union(rng, parts)
-    assert union.num_facets > engine._TABLE_KEY_FACETS
+    assert union.num_facets > engine._SPLIT_FACETS
     want = sum(value(p) for p in parts) + 2
     for nv in (True, False):
         for cfg in all_configs(seed, use_nerve=nv):
