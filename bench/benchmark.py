@@ -10,12 +10,13 @@ With --json PATH the rows also go to PATH as one JSON document: per
 instance and configuration χ̃, counters(), sum_splits, cache_hits,
 cache_evictions, relabelled_keys (table lookups made under a
 degree-relabelled copy), max_depth (the deepest stack of pending work, along
-which the table keys of unsolved nodes are held), the median seconds, the
-median in reference seconds and the row's peak RSS (ru_maxrss, KB; each row
-runs in a fresh process that receives the instance, so its figure is that
-row's alone), plus the Python version, the usable CPU count, the git commit
-of the checkout and whether the checkout has uncommitted changes or untracked
-files (dirty; None outside git).  Every timed run sits between two runs of
+which the table keys of unsolved nodes are held), split_leaves (dbms second
+children solved at their split, not counted as nodes), the median seconds,
+the median in reference seconds and the row's peak RSS (ru_maxrss, KB; each
+row runs in a fresh process that receives the instance, so its figure is
+that row's alone), plus the Python version, the usable CPU count, the git
+commit of the checkout and whether the checkout has uncommitted changes or
+untracked files (dirty; None outside git).  Every timed run sits between two runs of
 perfbench/run.py's calibration loop, which scales it to reference seconds
 (see that file): the seconds the run would take on a host where the loop
 takes its reference time, so points from different hosts and hours compare.
@@ -193,6 +194,7 @@ def main(argv=None):
                         "cache_evictions": stats.cache_evictions,
                         "relabelled_keys": stats.relabelled_keys,
                         "max_depth": stats.max_depth,
+                        "split_leaves": stats.split_leaves,
                         "median_s": med,
                         "median_ref_s": med_ref,
                         "repeat": args.repeat,

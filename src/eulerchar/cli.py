@@ -80,6 +80,7 @@ def _cmd_euler(args) -> int:
             counters["cache_evictions"] = stats.cache_evictions
             counters["relabelled_keys"] = stats.relabelled_keys
             counters["max_depth"] = stats.max_depth
+            counters["split_leaves"] = stats.split_leaves
             counters["algorithm"] = args.algorithm
             counters["pivot"] = cfg.resolved_pivot()
             return value, counters

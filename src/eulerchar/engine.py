@@ -10,16 +10,20 @@ child, a second child and a sign, χ̃ = χ̃(first) + sign·χ̃(second):
           χ̃(Δ) = χ̃(Δ∖e) - χ̃(lk e)
 * dbms: split on a facet σ:  χ̃(D) = χ̃(Δ) - χ̃(Δ⊖∁σ)  with
           Δ = closure(facets∖{σ})
+        Every face of Δ⊖∁σ lies in σ, so when σ has at most _LEAF_FACETS
+        vertices and more than _LEAF_FACETS distinct cut sets t ∩ σ generate
+        it, the second child is solved at the split on σ's vertex lattice
+        (a split leaf, not a node) and only Δ is pushed.
 
 The terminal step scores void, {∅} and a cone (a vertex in every facet),
 and solves any other node of at most _LEAF_FACETS facets or at most
 _LEAF_FACETS live vertices as a leaf, by one closure on a subset lattice in
 a 2^k-bit integer (the paper's inclusion-exclusion over the lcms of a few
 generators, done bit parallel): _lattice_masked takes χ̃ of the nerve from
-the sets of facets that share a vertex, the vertex lattice χ̃ of the node
-itself from its facets re-packed onto its live vertices.  None of this needs
-simplified facets, so a node (the root and every child alike) that arrives
-with at most _LEAF_FACETS facets goes to the terminal step at once; the
+the sets of facets that share a vertex, and _vertex_lattice takes χ̃ of the
+node itself from its facets re-packed onto its live vertices.  None of this
+needs simplified facets, so a node (the root and every child alike) that
+arrives with at most _LEAF_FACETS facets goes to the terminal step at once; the
 vertex bound is tried where the node's live vertices are known, after
 simplify and the nerve.
 A larger node is re-packed on entry onto its live vertices if its stored
@@ -116,14 +120,16 @@ _ISO_BITS = 128
 # (_lattice_masked, as it arrives or after simplify and the nerve, whichever
 # comes first) or, after simplify and the nerve, at most _LEAF_FACETS live
 # vertices (on its vertex lattice; dbms takes the nerve of such a node first,
-# so in practice only bcrt and runs without the nerve get there).  The closure works
+# so in practice only bcrt and runs without the nerve get there, while dbms
+# uses the vertex lattice for second children of at most _LEAF_FACETS
+# vertices and more distinct generators, at their split).  The closure works
 # on a 2^k-bit set of subsets of the k facets or vertices, so the cost per
-# leaf doubles with each one, and 0 turns both leaves off.  Sweep of the
-# facet bound, perfbench wall_s in reference s (one 10 s run, seed 1; 8
-# before the kernel read 1.45 and 0.197): random-antichain 12 -> 0.96,
-# 14 -> 0.81, 16 -> 0.73, 18 -> 0.90, 20 -> 2.35, where the closure
-# dominates; gadgets 12 -> 0.161, 14 -> 0.152, 16 -> 0.141, 18 -> 0.151,
-# 20 -> 0.223.
+# leaf doubles with each one, and 0 turns every leaf off, the split leaf
+# too.  Sweep of the facet bound before the split leaf, perfbench wall_s in
+# reference s (one 10 s run, seed 1; 8 before the kernel read 1.45 and
+# 0.197): random-antichain 12 -> 0.96, 14 -> 0.81, 16 -> 0.73, 18 -> 0.90,
+# 20 -> 2.35, where the closure dominates; gadgets 12 -> 0.161, 14 ->
+# 0.152, 16 -> 0.141, 18 -> 0.151, 20 -> 0.223.
 _LEAF_FACETS = 16
 # A single-vertex bcrt split (σ = V∖{e}) of a node of more than
 # _TRANSPOSED_DELETION_FACETS facets builds its deletion child with
@@ -186,6 +192,7 @@ class EngineStats:
     cache_evictions: int = 0
     relabelled_keys: int = 0  # lookups made under _iso_facets
     max_depth: int = 0  # deepest todo stack; pending table keys lie along it
+    split_leaves: int = 0  # dbms second children solved at their split
     elapsed: float = 0.0
 
     def counters(self):
@@ -299,9 +306,7 @@ def _base_case_masked(facets, alive=None):
     if m <= _LEAF_FACETS:
         return _lattice_masked(alive, facets), "lattice"
     if alive.bit_count() <= _LEAF_FACETS:
-        # the facets, re-packed onto the k live vertices, generate the faces
-        k, packed = compress_columns(alive, facets)
-        return _closed_chi(reduce(or_, (1 << f for f in packed)), k), "lattice"
+        return _vertex_lattice(alive, facets), "lattice"
     return None
 
 
@@ -348,6 +353,17 @@ def _lattice_masked(alive, facets):
                 row |= 1 << i
         u |= 1 << row
     return _closed_chi(u, m)
+
+
+def _vertex_lattice(alive, sets):
+    """χ̃ of the complex generated by sets, a non-empty family of subsets of
+    alive, which has at most _LEAF_FACETS vertices: the sets, re-packed onto
+    alive's k vertices, mark the generators on the 2^k lattice, and
+    _closed_chi closes and counts them.  The sets need not be an antichain:
+    duplicate, dominated and empty sets change no down-closure, and sets that
+    are all empty give {∅}, χ̃ = -1."""
+    k, packed = compress_columns(alive, sets)
+    return _closed_chi(reduce(or_, (1 << f for f in packed)), k)
 
 
 def _closed_chi(u, k):
@@ -450,10 +466,18 @@ def _select_dbms_masked(alive, facets, planes, strategy, key):
 
 
 def _split_dbms_masked(facets, idx):
-    """dbms split on σ = facets[idx]: (facets of Δ, facets of Δ⊖∁σ on σ, -1)."""
+    """dbms split on σ = facets[idx]: (facets of Δ, second, -1), second
+    standing for Δ⊖∁σ, the complex generated by the cut sets t ∩ σ of the
+    other facets t.  Every face of it lies in σ, so when σ has at most
+    _LEAF_FACETS vertices and the distinct cut sets number more than
+    _LEAF_FACETS (too many for a facet leaf), second is its χ̃, solved here on
+    σ's vertex lattice; otherwise it is its facets, the maximal cut sets."""
     sigma = facets[idx]
     rest = facets[:idx] + facets[idx + 1 :]
-    return rest, maximal_sets([t & sigma for t in rest]), -1
+    cut = {t & sigma for t in rest}
+    if len(cut) > _LEAF_FACETS and sigma.bit_count() <= _LEAF_FACETS:
+        return rest, _vertex_lattice(sigma, cut), -1
+    return rest, maximal_sets(cut), -1
 
 
 def _transposed_deletion(keep, cut):
@@ -627,6 +651,13 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
         if dbms:
             idx = _select_dbms_masked(alive, facets, planes, strategy, key)
             first, second, s = _split_dbms_masked(facets, idx)
+            if type(second) is int:
+                # the second child was solved at the split: the _ADD adds its
+                # value, filed now, to the first child's
+                stats.split_leaves += 1
+                vals.append(second * s * sign)
+                todo.append((_NODE, first, _child_key(key, 0), sign))
+                continue
             assert len(first) < m and len(second) < m
         else:
             sigma = _select_bcrt_masked(alive, facets, planes, strategy, key)
@@ -712,8 +743,11 @@ def split_bcrt(cx: Complex, sigma):
 
 
 def split_dbms(cx: Complex, facet_index: int):
-    """(closure(facets∖{σ}), that closure ⊖ ∁σ); χ̃(Δ) = first - second."""
+    """(closure(facets∖{σ}), that closure ⊖ ∁σ); χ̃(Δ) = first - second.
+    The second complex is always built, even where euler() would solve it at
+    the split."""
     if not 0 <= facet_index < len(cx.facets) or len(cx.facets) < 2:
         raise InputError("a dbms split needs at least two facets and 0 <= index < m")
-    rest, inner, _ = _split_dbms_masked(cx.facets, facet_index)
-    return Complex(cx.n, rest), _packed(cx.facets[facet_index], inner)
+    sigma = cx.facets[facet_index]
+    rest = cx.facets[:facet_index] + cx.facets[facet_index + 1 :]
+    return Complex(cx.n, rest), _packed(sigma, maximal_sets([t & sigma for t in rest]))

@@ -39,7 +39,7 @@ def test_benchmark_writes_json(tmp_path):
         assert row["instance"] == "rook:3,3" and row["chi"] == -4
         assert set(row["counters"]) == COUNTERS
         for key in ("sum_splits", "cache_hits", "cache_evictions", "relabelled_keys",
-                    "max_depth", "ru_maxrss_kb"):
+                    "max_depth", "split_leaves", "ru_maxrss_kb"):
             assert isinstance(row[key], int), key
         assert row["max_depth"] >= 1
         assert row["median_s"] >= 0

@@ -152,11 +152,12 @@ def test_euler_stats_line_is_json(tmp_path, capsys):
     assert stats["cache_hits"] == stats["cache_evictions"] == stats["relabelled_keys"] == 0
     # a leaf at entry: the root is all the stack ever holds
     assert stats["max_depth"] == 1
+    assert stats["split_leaves"] == 0
     # counters()' five keys, then the EngineStats fields outside them
     assert set(stats) == {
         "nodes_expanded", "base_case_hits", "nerve_applications", "abundant_eliminations",
         "independence_splits", "sum_splits", "cache_hits", "cache_evictions",
-        "relabelled_keys", "max_depth", "algorithm", "pivot",
+        "relabelled_keys", "max_depth", "split_leaves", "algorithm", "pivot",
     }
     assert "elapsed" not in stats  # deterministic stdout; timing goes to stderr
     assert "elapsed median" in err
@@ -179,7 +180,7 @@ def test_gen_command(tmp_path, capsys):
 
 def test_gen_reaches_a_spec_whose_first_draw_saturates(capsys):
     # random:4,6 is the six 2-sets of 4 vertices (seed 0 gets there on its
-    # eighth draw)
+    # twelfth draw)
     code, out, _ = _run(capsys, "gen", "random:4,6")
     assert code == 0
     assert parse_complex(out) == make_complex(4, combinations(range(4), 2))

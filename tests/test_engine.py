@@ -642,10 +642,10 @@ def test_lattice_leaf_memory_is_bounded():
 
 def test_lattice_leaf_changes_no_value(rng, monkeypatch):
     # the same complexes solved with the leaf and, with _LEAF_FACETS at 0 (no
-    # leaf on either lattice), by pivot splits down to void, {∅} and cones
-    # alone; 17-40 facets of 2-6 vertices each on 17-24 vertices, so most keep
-    # more than _LEAF_FACETS facets and live vertices and reach a leaf only
-    # after splits
+    # leaf on either lattice and no child solved at a split), by pivot splits
+    # down to void, {∅} and cones alone; 17-40 facets of 2-6 vertices each on
+    # 17-24 vertices, so most keep more than _LEAF_FACETS facets and live
+    # vertices and reach a leaf only after splits
     leaf = engine._LEAF_FACETS
     cases = []
     for _ in range(200):
@@ -662,7 +662,7 @@ def test_lattice_leaf_changes_no_value(rng, monkeypatch):
         for cfg, (want, _) in zip(configs, row):
             value, stats = euler(c, cfg)
             assert value == want, (c, cfg)
-            assert "lattice" not in stats.base_case_hits
+            assert "lattice" not in stats.base_case_hits and not stats.split_leaves
 
 
 # --- vertex-lattice leaf ---------------------------------------------------------
@@ -761,6 +761,83 @@ def test_vertex_lattice_memory_is_bounded():
         tracemalloc.stop()
     assert peak < 1_000_000
     assert values == [-2, -2, -2]
+
+
+# --- split leaf ------------------------------------------------------------------
+
+
+def test_vertex_lattice_matches_oracle_on_any_generators(rng):
+    # generator families on k <= _LEAF_FACETS vertices spread over 300 bits,
+    # with duplicates, sets inside others and empty sets; the kernel takes
+    # them as they are, the oracle the complex they generate
+    leaf = engine._LEAF_FACETS
+    for i in range(4 * leaf):
+        k = 1 + i % leaf
+        sets = [rng.getrandbits(k) for _ in range(rng.randint(1, 40))]
+        sets += [s & rng.getrandbits(k) for s in sets[:5]] + sets[:3] + [0]
+        rng.shuffle(sets)
+        spots = sorted(rng.sample(range(300), k))
+        spread = [sum(1 << spots[v] for v in iter_bits(s)) for s in sets]
+        alive = sum(1 << p for p in spots)
+        want = euler_by_subsets(make_complex(k, [list(iter_bits(s)) for s in sets]))
+        assert engine._vertex_lattice(alive, spread) == want, (k, sets)
+        assert engine._vertex_lattice(alive, set(spread)) == want, (k, sets)
+    # all empty: {∅}, whatever the lattice
+    for alive in (0, 1, mask(leaf) << 40):
+        assert engine._vertex_lattice(alive, [0, 0]) == -1
+
+
+def test_split_solves_the_second_child_on_its_pivot_facet():
+    # σ = facets[0] has 16 vertices; each other facet holds two of them and
+    # a private vertex, so their cut sets are the C(16, 2) = 120 edges on σ
+    # (the 1-skeleton of a simplex, χ̃ = -1 + 16 - 120).  Five such facets
+    # give five cut sets, too few to solve at the split
+    leaf = engine._LEAF_FACETS
+    pairs = list(combinations(range(leaf), 2))
+    others = [1 << a | 1 << b | 1 << 200 + i for i, (a, b) in enumerate(pairs)]
+    assert engine._split_dbms_masked([mask(leaf)] + others, 0) == (others, -105, -1)
+    _, second, _ = engine._split_dbms_masked([mask(leaf)] + others[:5], 0)
+    assert second == [t & mask(leaf) for t in others[:5]] == maximal_sets(second)
+    # a σ of 17 vertices is declined however many cut sets it has
+    _, second, _ = engine._split_dbms_masked([mask(leaf + 1)] + others, 0)
+    assert second == maximal_sets(second) and len(second) == len(pairs)
+
+
+def test_declined_splits_push_maximal_children(monkeypatch):
+    # on random:40,45 dbms, every second child that is pushed is an antichain
+    # (maximal_sets of the cut sets), and every one solved at its split has
+    # a pivot facet of at most _LEAF_FACETS vertices
+    split = engine._split_dbms_masked
+    seen = {"pushed": 0, "solved": 0}
+
+    def spy(facets, idx):
+        first, second, sign = split(facets, idx)
+        sigma = facets[idx]
+        if isinstance(second, int):
+            assert sigma.bit_count() <= engine._LEAF_FACETS
+            seen["solved"] += 1
+        else:
+            assert second == maximal_sets([t & sigma for t in first])
+            seen["pushed"] += 1
+        return first, second, sign
+
+    monkeypatch.setattr(engine, "_split_dbms_masked", spy)
+    for seed in range(3):
+        euler(generate(parse_spec(f"random:40,45,seed={seed}")))
+    assert seen["pushed"] and seen["solved"]
+
+
+def test_random_dbms_solves_split_leaves_to_bcrt_values():
+    # the workload the split leaf is for: each seed makes split leaves, and
+    # its χ̃ equals bcrt's, which solves no child at a split; split leaves
+    # are not nodes, so they stay out of the base-case hits
+    for seed in range(8):
+        c = generate(parse_spec(f"random:40,45,seed={seed}"))
+        value, stats = euler(c)
+        want, bcrt = euler(c, EngineConfig(algorithm="bcrt"))
+        assert value == want, seed
+        assert stats.split_leaves > 0 and bcrt.split_leaves == 0, seed
+        assert sum(stats.base_case_hits.values()) <= stats.nodes_expanded, seed
 
 
 def blown_up_boundary(k):

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from itertools import combinations
 
@@ -63,7 +64,8 @@ def test_gen_random_saturates(monkeypatch):
     # one vertex admits only one facet, and C(4, 2) = 6 sets is the largest
     # antichain on 4 vertices (Sperner): both are refused before sampling.
     # Six facets on 4 vertices fit, but seed 0 first draws a 3-set, which no
-    # 6-antichain extends, so with one draw allowed sampling gives up.
+    # 6-antichain extends, so when a draw is given up only after the whole
+    # rejection budget, sampling gives up.
     for n, m in ((1, 2), (4, 7)):
         with pytest.raises(CapacityError, match="no antichain"):
             gen_random(n, m, 0)
@@ -74,12 +76,45 @@ def test_gen_random_saturates(monkeypatch):
 
 def test_gen_random_restarts_a_saturated_draw():
     # the six 2-sets are the only 6-antichain on 4 vertices; seed 0 reaches
-    # them on its eighth draw, each saturated one costing 60,000 rejections
+    # them on its twelfth draw, each saturated one costing 600 rejections
+    # in a row, and seeds 0-99 all reach them
     start = time.perf_counter()
     c = gen_random(4, 6, 0)
     assert time.perf_counter() - start < 1
     assert c == gen_random(4, 6, 0)
     assert c.facets == tuple(sorted(1 << a | 1 << b for a, b in combinations(range(4), 2)))
+    assert all(gen_random(4, 6, seed) == c for seed in range(100))
+
+
+def test_gen_random_fails_within_one_budget():
+    # the only 20-antichain on 6 vertices is its C(6, 3) = 20 3-sets
+    # (Sperner), which seed 0 never draws, so every draw saturates; the
+    # draws share one budget of 200,000 rejections (2.8 s when each draw had
+    # all of it)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="saturated: 200000 candidates rejected"):
+        gen_random(6, 20, 0)
+    assert time.perf_counter() - start < 1
+
+
+def one_draw(n, m, seed):
+    """gen_random's first draw with no limit on rejections."""
+    rng = random.Random(seed)
+    accepted = []
+    while len(accepted) < m:
+        cand = rng.getrandbits(n)
+        if all(cand & ~f and f & ~cand for f in accepted):
+            accepted.append(cand)
+    return tuple(sorted(accepted))
+
+
+def test_gen_random_keeps_first_draw_facets():
+    # a spec whose first draw succeeds gives that draw's facets: the
+    # benchmark's random:40,45 inputs and the golden random:30,30,seed=1
+    pick = random.Random(1)
+    for seed in [pick.getrandbits(32) for _ in range(10)]:
+        assert gen_random(40, 45, seed).facets == one_draw(40, 45, seed)
+    assert gen_random(30, 30, 1).facets == one_draw(30, 30, 1)
 
 
 # --- rook -------------------------------------------------------------------
