@@ -12,9 +12,9 @@ cache_evictions, relabelled_keys (table lookups made under a
 degree-relabelled copy), max_depth (the deepest stack of pending work, along
 which the table keys of unsolved nodes are held), split_leaves (dbms second
 children solved at their split, not counted as nodes), the median seconds,
-the median in reference seconds and the row's peak RSS (ru_maxrss, KB; each
-row runs in a fresh process that receives the instance, so its figure is
-that row's alone), plus the Python version, the usable CPU count, the git
+the median in reference seconds and the row's peak RSS (peak_rss_kb; each
+row runs in a fresh process that receives the instance and reads its own
+address space's high-water mark, so its figure is that row's alone), plus the Python version, the usable CPU count, the git
 commit of the checkout and whether the checkout has uncommitted changes or
 untracked files (dirty; None outside git).  Every timed run sits between two runs of
 perfbench/run.py's calibration loop, which scales it to reference seconds
@@ -84,10 +84,26 @@ def run_one(cx, cfg, repeat, perf):
     return value, stats, statistics.median(times), statistics.median(refs)
 
 
+def peak_rss_kb():
+    """This process's peak RSS in KB: VmHWM from /proc/self/status, the
+    high-water mark of its own address space.  ru_maxrss, the fallback off
+    Linux, would on Linux keep the parent's mark across fork and exec, so a
+    small row run after the parent built a large instance would read the
+    parent's figure."""
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
 def run_row(cx, cfg, repeat):
     """run_one in this process, then its peak RSS (KB)."""
     value, stats, med, med_ref = run_one(cx, cfg, repeat, load_perfbench())
-    return value, stats, med, med_ref, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return value, stats, med, med_ref, peak_rss_kb()
 
 
 # a fresh interpreter loads this file by path (however the caller loaded it),
@@ -198,7 +214,7 @@ def main(argv=None):
                         "median_s": med,
                         "median_ref_s": med_ref,
                         "repeat": args.repeat,
-                        "ru_maxrss_kb": rss,
+                        "peak_rss_kb": rss,
                     }
                 )
     if args.json:

@@ -131,14 +131,23 @@ _ISO_BITS = 128
 # 20 -> 2.35, where the closure dominates; gadgets 12 -> 0.161, 14 ->
 # 0.152, 16 -> 0.141, 18 -> 0.151, 20 -> 0.223.
 _LEAF_FACETS = 16
-# A single-vertex bcrt split (σ = V∖{e}) of a node of more than
-# _TRANSPOSED_DELETION_FACETS facets builds its deletion child with
-# _transposed_deletion, a smaller one with maximal_sets.  Below the gate the
-# two are about even (replays of bcrt's calls there, maximal_sets against the
-# kernel: rook-6-6 1.72 against 1.64 ms, match-10 1.87 against 2.29 ms,
-# nicgraph-7-2 22.4 against 21.7 ms), and a gate of 0 was no faster on
-# narrow-bcrt (0.274 against 0.265 reference s, four alternating pairs).
+# A single-vertex bcrt split (σ = V∖{e}) builds its deletion child in
+# _deletion, by one of two regimes.  A node of at most
+# _TRANSPOSED_DELETION_FACETS facets, or one of at most _SCAN_DELETION_KEEP
+# keep sets, scans the keep sets for each cut set directly; a larger node
+# with more keep sets ANDs the rows of the keep sets' transpose over each cut
+# set's vertices.  The scan pays for the keep side, the transpose for the cut
+# sets' vertices.  Replays, best of 3 to 9 (maximal_sets(keep + cut) /
+# scan / transpose): the 4,036 deletions of at most 64 facets in
+# random-antichain's 40 bcrt solves 172 / 76 / 113 ms; nicgraph-9-2 bcrt's,
+# one in four of 44,208, 600 / 297 / 592 ms; narrow-bcrt's 110 deletions
+# above 64 facets, all with more than 16 keep sets, 47 / 116 / 16.2 ms; the
+# 206 large deletions of random_3cnf(60, 1) under bcrt, each of at most 16
+# keep sets against about 900 cut sets that hold 99 % of the union,
+# 173 / 111 / 5,713 ms.  No deletion above 64 facets on the golden bcrt rows
+# (rook-8-8, match-13, nicgraph-9-2) has 16 keep sets or fewer.
 _TRANSPOSED_DELETION_FACETS = 64
+_SCAN_DELETION_KEEP = 16
 
 _M64 = (1 << 64) - 1
 
@@ -259,8 +268,8 @@ def _simplify_masked(facets):
                     break
             s = sigma & t
             # s lies in the k σs taken and in this one; one more holder is a
-            # live facet that makes a cone
-            if k and [s & ~f for f in facets].count(0) > k + 1:
+            # live facet that makes a cone (f & s == s says s ⊆ f; counted in C)
+            if k and list(map(s.__and__, facets)).count(s) > k + 1:
                 break
             t = s
             k += 1
@@ -480,13 +489,18 @@ def _split_dbms_masked(facets, idx):
     return rest, maximal_sets(cut), -1
 
 
-def _transposed_deletion(keep, cut):
+def _deletion(keep, cut):
     """maximal_sets(keep + cut) for two antichains where no cut set contains
-    a keep set: the keep sets and the cut sets that lie in none of them.
+    a keep set: the keep sets and the cut sets that lie in none of them,
+    sorted.
 
-    With rows[v] the mask of the keep sets holding v, the keep sets holding
-    a cut set h are the AND of rows[v] over v in h: all of them for an empty
-    h, none once some v of h is in no keep set."""
+    The scan tests each cut set h against the keep sets in C (h & g == h
+    says h ⊆ g).  The transpose, with rows[v] the mask of the keep sets
+    holding v, takes the keep sets holding h as the AND of rows[v] over v in
+    h: all of them for an empty h, none once some v of h is in no keep set.
+    See _TRANSPOSED_DELETION_FACETS for which regime a split takes."""
+    if len(keep) <= _SCAN_DELETION_KEEP or len(keep) + len(cut) <= _TRANSPOSED_DELETION_FACETS:
+        return sorted(keep + [h for h in cut if h not in map(h.__and__, keep)])
     rows = transpose_rows(keep)
     every = mask(len(keep))
     inner = list(keep)
@@ -512,17 +526,13 @@ def _split_bcrt_masked(alive, facets, sigma):
     lk e's facets are the cut sets f∖e of the facets f ∋ e, an antichain
     since f∖e ⊆ f′∖e would give f ⊆ f′.  The deletion is the facets g ∌ e
     (the keep sets) and the cut sets that lie in no g; no g lies in a cut
-    set, since it would lie in that set's facet.  On a node of more than
-    _TRANSPOSED_DELETION_FACETS facets _transposed_deletion finds those cut
-    sets from the keep sets' transpose, on a smaller one maximal_sets does."""
+    set, since it would lie in that set's facet; _deletion builds it."""
     ebit = alive & ~sigma
     if ebit & (ebit - 1):  # popgcd's σ can miss several vertices
         return maximal_sets([f & sigma for f in facets]), _closure_facets(facets, sigma), 1
     keep = [f for f in facets if not f & ebit]
     cut = [f ^ ebit for f in facets if f & ebit]
-    if len(facets) > _TRANSPOSED_DELETION_FACETS:
-        return _transposed_deletion(keep, cut), cut, -1
-    return maximal_sets(keep + cut), cut, -1
+    return _deletion(keep, cut), cut, -1
 
 
 # ---------------------------------------------------------------------------

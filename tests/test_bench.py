@@ -39,7 +39,7 @@ def test_benchmark_writes_json(tmp_path):
         assert row["instance"] == "rook:3,3" and row["chi"] == -4
         assert set(row["counters"]) == COUNTERS
         for key in ("sum_splits", "cache_hits", "cache_evictions", "relabelled_keys",
-                    "max_depth", "split_leaves", "ru_maxrss_kb"):
+                    "max_depth", "split_leaves", "peak_rss_kb"):
             assert isinstance(row[key], int), key
         assert row["max_depth"] >= 1
         assert row["median_s"] >= 0
@@ -54,9 +54,13 @@ def test_benchmark_default_pivots(tmp_path):
 
 def test_each_row_has_its_own_peak_rss(tmp_path):
     # match-13 dbms peaks about 35 MB above a tiny row; run in one process,
-    # the tiny row after it would report the same ru_maxrss
+    # the tiny row after it would report the same peak
     rows = bench_json(tmp_path, "--algorithms", "dbms", "--pivots", "default",
                       instances=("match:13", "rook:3,3"))["rows"]
-    large, small = (row["ru_maxrss_kb"] for row in rows)
+    large, small = (row["peak_rss_kb"] for row in rows)
     assert [row["instance"] for row in rows] == ["match:13", "rook:3,3"]
     assert small < large - 20_000, (large, small)
+    # the parent holds match-13's 135,135 facets while it spawns the tiny
+    # row; the row reads its own figure, not the parent's high-water mark
+    alone = bench_json(tmp_path, "--algorithms", "dbms", "--pivots", "default")["rows"]
+    assert abs(alone[0]["peak_rss_kb"] - small) < 2_048, (alone[0]["peak_rss_kb"], small)

@@ -7,8 +7,9 @@ from operator import or_
 
 from hypothesis import given, settings, strategies as st
 
+from eulerchar import _bitops
 from eulerchar._bitops import (
-    compress_columns, count_is, count_planes, iter_bits, mask, transpose_rows,
+    compress_columns, count_is, count_planes, iter_bits, mask, maximal_sets, transpose_rows,
 )
 from eulerchar.docio import parse_complex
 from test_cli import wide_sparse_document
@@ -255,3 +256,78 @@ def test_count_kernels_edge_families():
 )
 def test_count_kernels_match_definitions(sets, sel):
     check_counts(sets, sel, 70)
+
+
+def ref_maximal(sets):
+    return sorted({s for s in sets if not any(s != t and s & t == s for t in sets)})
+
+
+def dense_family(rng, width, m, misses):
+    """m sets on a width-vertex union, each missing misses(rng) vertices;
+    the first two miss disjoint runs, so the union is all width vertices."""
+    full = mask(width)
+    sets = [full ^ mask(misses(rng)), full ^ (mask(misses(rng)) << width // 2)]
+    while len(sets) < m:
+        sets.append(full ^ sum(1 << v for v in rng.sample(range(width), misses(rng))))
+    return sets
+
+
+def complement_calls(monkeypatch):
+    calls = []
+    kernel = _bitops._maximal_complements
+
+    def spy(union, order):
+        calls.append(len(order))
+        return kernel(union, order)
+
+    monkeypatch.setattr(_bitops, "_maximal_complements", spy)
+    return calls
+
+
+def test_dense_maximal_sets_match_brute_force(monkeypatch):
+    # dense families with duplicates, dominated sets (a set less a few more
+    # vertices) and the union itself, which alone is maximal when present
+    calls = complement_calls(monkeypatch)
+    rng = random.Random(26)
+    seen = set()
+    for trial in range(40):
+        width = rng.choice((40, 97, 160, 300))
+        sets = dense_family(rng, width, rng.randint(34, 150), lambda r: r.randint(1, width // 40))
+        for _ in range(rng.randint(0, 20)):
+            s = rng.choice(sets)
+            sets.append(s & ~(1 << rng.randrange(width)) if rng.random() < 0.7 else s)
+        if trial % 5 == 0:
+            sets.append(mask(width))
+        rng.shuffle(sets)
+        before = len(calls)
+        got = maximal_sets(sets)
+        assert got == ref_maximal(sets), trial
+        if len(calls) > before:
+            seen.add("union" if got == [mask(width)] else "complements")
+        if len(set(sets)) < len(sets):
+            seen.add("duplicates")
+        if len(got) < len(set(sets)) - 1:
+            seen.add("dominated")
+    assert seen == {"union", "complements", "duplicates", "dominated"}, seen
+
+
+def test_dense_regime_gates(monkeypatch):
+    # complements are runs [i, i + length) of about share = 10 vertices on a
+    # union of share * _DENSE_SHARE vertices, with total m * share + extra:
+    # the mean complement sits 1/m under, at or 1/m over the union's
+    # 1/_DENSE_SHARE.  Only a batch of more than _DENSE_BATCH sets under it
+    # takes the complement regime.
+    calls = complement_calls(monkeypatch)
+    share = 10
+    width = share * _bitops._DENSE_SHARE
+    full = mask(width)
+    for m in (_bitops._DENSE_BATCH, _bitops._DENSE_BATCH + 1, 2 * _bitops._DENSE_BATCH + 1):
+        for extra in (-1, 0, 1):
+            lengths = [share + (-1) ** i for i in range(m - m % 2)] + [share] * (m % 2)
+            lengths[0] += extra
+            sets = [full ^ mask(n) << i for i, n in enumerate(lengths)]
+            assert reduce(or_, sets) == full
+            assert m * width - sum(map(int.bit_count, sets)) == m * share + extra
+            before = len(calls)
+            assert maximal_sets(sets) == ref_maximal(sets), (m, extra)
+            assert (len(calls) > before) == (m > _bitops._DENSE_BATCH and extra < 0), (m, extra)

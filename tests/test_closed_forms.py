@@ -1,5 +1,5 @@
-"""Exact references past the oracle: closed forms for the rook and match
-families.
+"""Exact references past the oracle: closed forms for the rook, match and
+nicgraph families.
 
 A face of the chessboard complex rook-a-b is a placement of k non-attacking
 rooks, so f_{k-1} = C(a,k)·C(b,k)·k!.  A face of match-n is a matching of k
@@ -8,14 +8,21 @@ edges in K_n, so f_{k-1} = n!/(k!·2^k·(n-2k)!).  Either way
 and check the engine on boards and graphs that no golden row covers, under
 both algorithms' default pivots.
 
-Time budget: about 4 s on 2 cores, most of it the a = 2 boards.
+nicgraph-a-b, the complex of not-b-connected graphs on a vertices, is a
+wedge of spheres (Babson, Björner, Linusson, Shareshian and Welker,
+"Complexes of not i-connected graphs", Topology 38, 1999): (a-2)! spheres of
+dimension 2a-5 for b = 2, so χ̃ = -(a-2)!, and (a-3)·(a-2)!/2 spheres of
+dimension 2a-4 for b = 3, so χ̃ = (a-3)·(a-2)!/2.  The b = 3 values also
+check gen_nicgraph's cut construction past b = 2.
+
+Time budget: about 3 s on 2 cores, most of it the a = 2 boards.
 """
 
 from math import comb, factorial
 
 import pytest
 
-from eulerchar import EngineConfig, euler, f_vector, gen_matching, gen_rook
+from eulerchar import EngineConfig, euler, f_vector, gen_matching, gen_nicgraph, gen_rook
 
 # every board a <= b of at most this many facets, with b <= MAX_SIDE (a = 1
 # would otherwise run to 2,000 isolated points, and a = 2 reaches 1,980
@@ -68,6 +75,18 @@ def test_engine_matches_match_closed_form(alg):
     cfg = EngineConfig(algorithm=alg)
     for n in range(2, MAX_MATCH + 1):
         assert euler(gen_matching(n), cfg)[0] == chi(match_faces(n)), n
+
+
+@pytest.mark.parametrize("alg", ["dbms", "bcrt"])
+def test_engine_matches_nicgraph_closed_form(alg):
+    # nicgraph-8-2 (504 facets) is the largest; the golden rows give -120,
+    # -720 and -5,040 for a = 7, 8 and 9
+    cfg = EngineConfig(algorithm=alg)
+    for a in range(3, 9):
+        assert euler(gen_nicgraph(a, 2), cfg)[0] == -factorial(a - 2), a
+    for a in range(4, 8):
+        assert euler(gen_nicgraph(a, 3), cfg)[0] == (a - 3) * factorial(a - 2) // 2, a
+    assert [(a - 3) * factorial(a - 2) // 2 for a in range(4, 8)] == [1, 6, 36, 240]
 
 
 def test_f_vector_matches_closed_forms():

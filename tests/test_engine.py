@@ -314,10 +314,11 @@ def test_split_bcrt_identity_exhaustive():
 
 def test_vertex_split_is_deletion_plus_link(rng, monkeypatch):
     # every single-vertex pivot σ = V∖{e} of seeded antichains, with the
-    # transposed deletion on at every size; facet sizes spread over 0, 1, 2 or
-    # 4 vertices, so d = max|g ∌ e| - min|f∖e| (f ∋ e) is 1 on the pure
-    # complexes and 0 to 2 or above on others, one kernel for every d
-    monkeypatch.setattr(engine, "_TRANSPOSED_DELETION_FACETS", 0)
+    # deletion's transpose on at every size (the scan is the default there);
+    # facet sizes spread over 0, 1, 2 or 4 vertices, so d = max|g ∌ e| -
+    # min|f∖e| (f ∋ e) is 1 on the pure complexes and 0 to 2 or above on
+    # others, one kernel for every d
+    transpose_every_deletion(monkeypatch)
     seen = set()
     for _ in range(300):
         n = rng.randint(6, 10)
@@ -343,6 +344,15 @@ def test_vertex_split_is_deletion_plus_link(rng, monkeypatch):
     assert seen >= {"pure", 1, 2, 3}, seen
 
 
+def transpose_every_deletion(monkeypatch):
+    monkeypatch.setattr(engine, "_TRANSPOSED_DELETION_FACETS", -1)
+    monkeypatch.setattr(engine, "_SCAN_DELETION_KEEP", -1)
+
+
+def scan_every_deletion(monkeypatch):
+    monkeypatch.setattr(engine, "_SCAN_DELETION_KEEP", 1 << 30)
+
+
 def deletion_pairs(c):
     """(keep, cut) of each single-vertex split of c: the facets without e
     and the others less e, as _split_bcrt_masked hands them over."""
@@ -351,11 +361,12 @@ def deletion_pairs(c):
         yield [f for f in c.facets if not f & ebit], [f ^ ebit for f in c.facets if f & ebit]
 
 
-def test_transposed_deletion_matches_maximal_sets(rng):
-    # the kernel against maximal_sets(keep + cut) on seeded antichains, with
-    # d = max|keep set| - min|cut set| from 0 to above 2 and the edge cases
-    # below: an empty cut set (the facet {e}), no keep set, a cut vertex in
-    # no keep set (vertex 3 with e = 0 in the last complex)
+def test_transposed_deletion_matches_maximal_sets(rng, monkeypatch):
+    # both of _deletion's regimes against maximal_sets(keep + cut) on seeded
+    # antichains, with d = max|keep set| - min|cut set| from 0 to above 2
+    # and the edge cases below: an empty cut set (the facet {e}), no keep
+    # set, a cut vertex in no keep set (vertex 3 with e = 0 in the last
+    # complex)
     complexes = [cx(2, {0}), cx(4, {0}, {1, 2}, {2, 3}), cx(4, {0, 1}, {0, 2}, {0, 3}), cx(4, {0, 3}, {1, 2}, {0, 1})]
     for _ in range(200):
         n = rng.randint(6, 10)
@@ -365,7 +376,12 @@ def test_transposed_deletion_matches_maximal_sets(rng):
     seen = set()
     for c in complexes:
         for keep, cut in deletion_pairs(c):
-            assert engine._transposed_deletion(keep, cut) == maximal_sets(keep + cut), (c, keep, cut)
+            want = maximal_sets(keep + cut)
+            with monkeypatch.context() as patch:
+                transpose_every_deletion(patch)
+                assert engine._deletion(keep, cut) == want, (c, keep, cut)
+                scan_every_deletion(patch)
+                assert engine._deletion(keep, cut) == want, (c, keep, cut)
             if 0 in cut:
                 seen.add("empty cut set")
             if not keep:
@@ -378,20 +394,70 @@ def test_transposed_deletion_matches_maximal_sets(rng):
     assert seen >= {"empty cut set", "no keep set", "lone cut vertex", 0, 1, 2, 3}, seen
 
 
+def test_deletion_regimes_agree_around_their_gates(rng, monkeypatch):
+    # keep sets are 6-vertex and cut sets 5-vertex subsets of 14 vertices,
+    # some of them inside a keep set, so keep + {h + e} is an antichain for a
+    # vertex e = 14: m facets around _TRANSPOSED_DELETION_FACETS with keep
+    # counts around _SCAN_DELETION_KEEP, and beside each keep count the facet
+    # {e}, whose cut set is empty (and then the only one).  The default, the
+    # scan and the transpose all give maximal_sets(keep + cut), and the
+    # default transposes exactly the nodes above both gates.
+    transposes = []
+    kernel = engine.transpose_rows
+    monkeypatch.setattr(engine, "transpose_rows", lambda sets: transposes.append(1) or kernel(sets))
+    facets_gate, keep_gate = engine._TRANSPOSED_DELETION_FACETS, engine._SCAN_DELETION_KEEP
+
+    def subsets(k, count, out=()):
+        out = set(out)
+        while len(out) < count:
+            out.add(sum(1 << v for v in rng.sample(range(14), k)))
+        return sorted(out)
+
+    cases = []
+    for n_keep in (keep_gate - 1, keep_gate, keep_gate + 1, facets_gate):
+        keep = subsets(6, n_keep)
+        cases.append((keep, [0]))
+        inner = sorted({g ^ 1 << v for g in keep[:3] for v in iter_bits(g)})
+        for m in (facets_gate - 1, facets_gate, facets_gate + 1, 2 * facets_gate):
+            if m > n_keep:
+                cases.append((keep, subsets(5, m - n_keep, inner[: max(1, (m - n_keep) // 3)])))
+    seen = set()
+    for keep, cut in cases:
+        want = maximal_sets(keep + cut)
+        assert len(want) < len(keep) + len(cut), "a cut set lies in a keep set"
+        before = len(transposes)
+        assert engine._deletion(keep, cut) == want, (keep, cut)
+        transposed = len(keep) > keep_gate and len(keep) + len(cut) > facets_gate
+        assert (len(transposes) > before) == transposed, (len(keep), len(cut))
+        if transposed:
+            seen.add("transposed")
+        else:
+            seen.add("small node" if len(keep) + len(cut) <= facets_gate else "few keep sets")
+        with monkeypatch.context() as patch:
+            transpose_every_deletion(patch)
+            assert engine._deletion(keep, cut) == want
+            scan_every_deletion(patch)
+            assert engine._deletion(keep, cut) == want
+    assert seen == {"small node", "few keep sets", "transposed"}, seen
+
+
 def test_large_vertex_splits_use_the_transposed_deletion(monkeypatch):
-    # the kernel builds all 22 of nicgraph-7-2's splits above
-    # _TRANSPOSED_DELETION_FACETS facets, each with d > 2, at the default gate
+    # the transpose builds all 22 of nicgraph-7-2's deletions above
+    # _TRANSPOSED_DELETION_FACETS facets, each with more than
+    # _SCAN_DELETION_KEEP keep sets and d > 2, at the default gates
     calls = []
-    kernel = engine._transposed_deletion
+    kernel = engine._deletion
 
     def spy(keep, cut):
-        calls.append(max(map(int.bit_count, keep)) - min(map(int.bit_count, cut)))
+        if len(keep) + len(cut) > engine._TRANSPOSED_DELETION_FACETS:
+            calls.append((len(keep), max(map(int.bit_count, keep)) - min(map(int.bit_count, cut))))
         return kernel(keep, cut)
 
-    monkeypatch.setattr(engine, "_transposed_deletion", spy)
+    monkeypatch.setattr(engine, "_deletion", spy)
     value, _ = euler(generate(parse_spec("nicgraph:7,2")), EngineConfig(algorithm="bcrt"))
     assert value == -120
-    assert len(calls) == 22 and min(calls) > 2, calls
+    assert len(calls) == 22, calls
+    assert all(k > engine._SCAN_DELETION_KEEP and d > 2 for k, d in calls), calls
 
 
 def test_split_bcrt_rejects_an_invalid_pivot():
