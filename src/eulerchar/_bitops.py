@@ -30,17 +30,18 @@ _TRANSPOSE_CHUNK = 4096
 # of more than _LARGE_BATCH sets uses the transposed dominator check, and a
 # smaller one tests each size level against the sets kept above it.  Best of
 # 3 on every batch of random_3cnf(60, 1) the gate takes there, complements
-# against the other regimes: dbms 3,283 batches 0.86 against 6.32 s, bcrt
-# 1,756 batches 0.76 against 5.95 s.  A gate on the largest complement
+# against the other regimes: dbms 3,256 batches 0.77 against 5.85 s, bcrt
+# 1,750 batches 0.77 against 5.93 s.  A gate on the largest complement
 # (under 1/32 of the union, more than 128 sets) takes only 1,610 of dbms's
-# batches; the other 1,673 (33-512 sets whose complements average 2-4
-# vertices, the largest 4-16) took 1.37 against 0.27 s.  On perfbench's batches
-# (set-up and a pass, seeds 1-3) only gadgets' 18-variable CNF reaches
-# complements (65-126 sets on 107-270 vertices, 0.04-0.09 against 0.14-0.44
-# ms a batch).  A gate of 8 × the largest complement below the set count
-# would take its nicgraph-7-2 round trip there too (217 sets on a 21-vertex
-# union), where complements are slower (0.99 against 0.94 ms a batch).
-_DENSE_BATCH = 32
+# batches; the other 1,646 (65-512 sets whose complements average 2-4
+# vertices, the largest 4-16) took 1.27 against 0.24 s.  On perfbench's
+# batches (set-up and a pass, seeds 1-3) only gadgets' 18-variable CNF
+# reaches complements (65-126 sets on 107-270 vertices, 0.04-0.09 against
+# 0.14-0.44 ms a batch); random-antichain's batches of at most 40 sets skip
+# the gate's OR.  A gate of 8 × the largest complement below the set count
+# would take gadgets' nicgraph-7-2 round trip there too (217 sets on a
+# 21-vertex union), where complements are slower (0.99 against 0.94 ms).
+_DENSE_BATCH = 64
 _DENSE_SHARE = 32
 _LARGE_BATCH = 512
 

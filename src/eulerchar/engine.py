@@ -268,8 +268,8 @@ def _simplify_masked(facets):
                     break
             s = sigma & t
             # s lies in the k σs taken and in this one; one more holder is a
-            # live facet that makes a cone (f & s == s says s ⊆ f; counted in C)
-            if k and list(map(s.__and__, facets)).count(s) > k + 1:
+            # live facet that makes a cone (s & f == s says s ⊆ f)
+            if k and [s & f for f in facets].count(s) > k + 1:
                 break
             t = s
             k += 1
