@@ -14,9 +14,10 @@ which the table keys of unsolved nodes are held), split_leaves (dbms second
 children solved at their split, not counted as nodes), the median seconds,
 the median in reference seconds and the row's peak RSS (peak_rss_kb; each
 row runs in a fresh process that receives the instance and reads its own
-address space's high-water mark, so its figure is that row's alone), plus the Python version, the usable CPU count, the git
-commit of the checkout and whether the checkout has uncommitted changes or
-untracked files (dirty; None outside git).  Every timed run sits between two runs of
+address space's high-water mark, so its figure is that row's alone), plus
+the Python version, the usable CPU count, the git commit of the checkout
+and whether the checkout has uncommitted changes or untracked files (dirty;
+None outside git).  Every timed run sits between two runs of
 perfbench/run.py's calibration loop, which scales it to reference seconds
 (see that file): the seconds the run would take on a host where the loop
 takes its reference time, so points from different hosts and hours compare.
