@@ -5,24 +5,40 @@ element i).  CPython big ints already execute the word-level boolean ops in
 C, so these kernels keep the Python-level loop counts low: maximal_sets
 tests a dense batch by its sets' small complements, a large one through a
 transposed incidence view and a small one level by level, iter_bits scans
-an int byte by byte through a table, transpose_rows reads each element's row
-from a byte column of the sets' byte matrix (about m × live byte columns of
-memory, built a chunk of sets at a time), compress_columns drops the dead
-byte columns of its mask and closes the remaining gaps with a few
-mask-and-shift rounds shared by every set, and _gather (behind the engine's
-relabelled table keys) picks bits from a set's binary string, where bit p is
-the character p places from the right.
+an int byte by byte through a table, compress_columns drops the dead byte
+columns of its mask and closes the remaining gaps with a few mask-and-shift
+rounds shared by every set, and one block-transpose kernel, _t64, serves
+both transpose_rows (each element's row of set indices) and _gather (behind
+the engine's relabelled table keys).  They lay their sets out as rows of
+64-bit words, _TRANSPOSE_CHUNK sets at a time, and _t64 transposes every
+64×64 bit block of one word column at once with six delta swaps on one int.
 """
 
+from bisect import bisect_left
 from functools import reduce
 from itertools import compress, groupby, repeat
-from operator import and_, itemgetter, or_
+from operator import and_, itemgetter, lshift, or_
+from struct import unpack
 
 _BYTE_BITS = [tuple(b for b in range(8) if (v >> b) & 1) for v in range(256)]
-# transpose_rows reads bit b of a byte as the character _BIT_CHARS[b] (b"0"
-# or b"1"), and builds its byte matrix _TRANSPOSE_CHUNK sets at a time
-_BIT_CHARS = [bytes(48 + (v >> b & 1) for v in range(256)) for b in range(8)]
+
+# transpose_rows and _gather lay their sets out _TRANSPOSE_CHUNK at a time,
+# which bounds the matrix and _T64_SWAPS' masks (32 KB each).  In a 64×64
+# block, bit 64r + c is bit c of row r, and the transpose swaps bit k of each
+# bit's index with bit k + 6 for k = 0..5 (Warren, Hacker's Delight, section
+# 7-3): the bits with index bit k set and bit k + 6 clear, those under the
+# mask, trade places with the bits 63 * 2^k above them.
 _TRANSPOSE_CHUNK = 4096
+
+
+def _swap_mask(k):
+    # bits c with bit k of c set, in the rows r with bit k of r clear
+    word = sum(1 << c for c in range(64) if c >> k & 1).to_bytes(8, "little")
+    block = b"".join(bytes(8) if r >> k & 1 else word for r in range(64))
+    return int.from_bytes(block * (_TRANSPOSE_CHUNK // 64), "little")
+
+
+_T64_SWAPS = [(63 << k, _swap_mask(k)) for k in range(6)]
 
 # maximal_sets' regimes.  A batch of more than _DENSE_BATCH sets whose
 # complements in the union hold on average fewer than 1/_DENSE_SHARE of its
@@ -65,34 +81,99 @@ def iter_bits(x):
 def transpose_rows(sets):
     """Incidence transpose: dict mapping element v to the bitmask of set
     indices i with v in sets[i].  Only elements that occur are keyed.
-    Each chunk of _TRANSPOSE_CHUNK sets becomes a byte matrix, one row per
-    set (last set first) by the union's live byte columns; bit b of column
-    j, translated to "0"/"1", spells the row of element 8j + b in base 2."""
+    Each chunk of _TRANSPOSE_CHUNK sets becomes a matrix with one row of
+    64-bit words per set, over the union's live byte columns when dropping
+    the dead ones saves a word, and _t64 transposes its word columns: in a
+    block of 64 sets, an element's row is then one 64-bit item of its
+    column."""
     union = reduce(or_, sets, 0)
+    if not union:
+        return {}
     stride = (union.bit_length() + 7) >> 3
     live = union.to_bytes(stride, "little")
     cols = list(compress(range(stride), live))
-    width = len(cols)
-    rows = dict.fromkeys([8 * j + b for j in cols for b in _BYTE_BITS[live[j]]], 0)
+    words = (len(cols) + 7) >> 3
+    if words < (stride + 7) >> 3:
+        keys = [8 * j + b for j in cols for b in _BYTE_BITS[live[j]]]
+        places = list(iter_bits(int.from_bytes(live.translate(None, b"\0"), "little")))
+    else:
+        cols = None
+        keys = places = list(iter_bits(union))
+    rows = None
     for start in range(0, len(sets), _TRANSPOSE_CHUNK):
-        chunk = sets[start:start + _TRANSPOSE_CHUNK][::-1]
-        if width == stride:
-            mat = b"".join(map(int.to_bytes, chunk, repeat(stride), repeat("little")))
+        chunk = sets[start:start + _TRANSPOSE_CHUNK]
+        if cols:
+            mat = map(bytes.ljust, _live_bytes(chunk, union, cols), repeat(8 * words), repeat(b"\0"))
         else:
-            mat = b"".join(_live_bytes(chunk, stride, cols))
-        for k, j in enumerate(cols):
-            col = mat[k::width]
-            for b in _BYTE_BITS[live[j]]:
-                rows[8 * j + b] |= int(col.translate(_BIT_CHARS[b]), 2) << start
-    return rows
+            mat = map(int.to_bytes, chunk, repeat(8 * words), repeat("little"))
+        xs = _word_columns(b"".join(mat), words)
+        if len(chunk) <= 64:
+            # one block: bit p's row is item p of the word columns end to end
+            items = unpack(f"<{64 * words}Q", b"".join([x.to_bytes(512, "little") for x in xs]))
+            got = list(map(items.__getitem__, places))
+        else:
+            # the row of bit p is items p & 63, + 64, ... of column p >> 6
+            n = len(chunk) + (-len(chunk) & 63)
+            t = [_items(x, n) for x in xs]
+            got = [int.from_bytes(t[p >> 6][p & 63::64], "little") for p in places]
+        rows = list(map(or_, rows, map(lshift, got, repeat(start)))) if start else got
+    return dict(zip(keys, rows))
 
 
-def _live_bytes(sets, stride, cols):
-    """Iterator over each set's bytes at the byte columns cols, in order;
-    every set fits in stride bytes."""
+def _word_columns(mat, words):
+    """The word columns of mat, a byte matrix of one row of `words` 64-bit
+    words per set, each as an int with every 64-set block transposed: in
+    column w, the 64-bit item 64b + c is bit c of word w over the sets of
+    block b (bit r from set 64b + r)."""
+    if words == 1:
+        return [_t64(int.from_bytes(mat, "little"))]
+    q = memoryview(mat).cast("Q")
+    return [_t64(int.from_bytes(q[w::words], "little")) for w in range(words)]
+
+
+def _t64(x):
+    """x with every 64×64 bit block transposed (bit 64r + c of a block, the
+    4,096 bits from 4,096b, moves to bit 64c + r); x holds at most
+    _TRANSPOSE_CHUNK rows of 64 bits.  Six delta swaps, one per bit of a
+    row or column index (see _T64_SWAPS)."""
+    for d, a in _T64_SWAPS:
+        t = (x ^ x >> d) & a
+        x ^= t | t << d
+    return x
+
+
+def _items(x, n):
+    """The n 64-bit items of x as a memoryview; its slices with a step pick
+    items without a copy of the rest."""
+    return memoryview(x.to_bytes(8 * n, "little")).cast("Q")
+
+
+def _live_bytes(sets, keep, cols):
+    """Iterator over the bytes of each set cut to keep at keep's live byte
+    columns cols, up to the set's last byte.  A set is written out at the
+    least of 64, 128, 256, ... bytes that holds it uncut (at most keep's
+    stride), not at the stride, so a short set among wide ones costs about
+    its own length, the column pickers, one a size, stay few, and the sets
+    are cut one at a time."""
+    stride = cols[-1] + 1
+    sizes = [64 << k for k in range(((stride - 1) >> 6).bit_length())] + [stride]
+    cut = map(and_, sets, repeat(keep))
+    if len(sizes) == 1:
+        return map(bytes, map(_picker(cols), map(int.to_bytes, cut, repeat(stride), repeat("little"))))
+    index = list(map(bisect_left, repeat([8 * n for n in sizes[:-1]]), map(int.bit_length, sets)))
+    pick = {i: _picker(cols[:bisect_left(cols, sizes[i])]) for i in set(index)}
+    raw = map(int.to_bytes, cut, map(sizes.__getitem__, index), repeat("little"))
+    return map(bytes, map(_call, map(pick.__getitem__, index), raw))
+
+
+_call = itemgetter.__call__  # operator.call, before Python 3.11
+
+
+def _picker(cols):
     # a single index would make itemgetter return an int, not a tuple
-    pick = itemgetter(*cols) if len(cols) > 1 else itemgetter(slice(cols[0], cols[0] + 1))
-    return map(bytes, map(pick, map(int.to_bytes, sets, repeat(stride), repeat("little"))))
+    if len(cols) > 1:
+        return itemgetter(*cols)
+    return itemgetter(slice(cols[0], cols[0] + 1) if cols else slice(0))
 
 
 def maximal_sets(sets):
@@ -223,8 +304,9 @@ def compress_columns(keep, sets):
     compressed as in Warren's Hacker's Delight, section 7-4: round i moves
     every kept bit whose distance to its place has bit i set 2^i places
     right, so ceil(log2 w) rounds of one mask each close every gap.  When
-    columns are dropped, each set is cut and narrowed before the next, so
-    one set at keep's full width is held at a time."""
+    columns are dropped, each set is cut and narrowed before the next (see
+    _live_bytes), so no set is held at keep's full width unless it reaches
+    that far."""
     if not keep:
         return 0, [0] * len(sets)
     k = keep.bit_count()
@@ -232,9 +314,8 @@ def compress_columns(keep, sets):
     live = keep.to_bytes(stride, "little")
     cols = list(compress(range(stride), live))
     if len(cols) < stride:
-        cut = map(and_, sets, repeat(keep))
+        sets = list(map(int.from_bytes, _live_bytes(sets, keep, cols), repeat("little")))
         keep = int.from_bytes(live.translate(None, b"\0"), "little")
-        sets = list(map(int.from_bytes, _live_bytes(cut, stride, cols), repeat("little")))
     else:
         sets = [s & keep for s in sets]
     w = keep.bit_length()
@@ -259,11 +340,30 @@ def compress_columns(keep, sets):
 
 
 def _gather(order, sets):
-    """Each bitset with bit i renamed from bit order[i] (bits outside order
-    dropped); order is a non-empty list of distinct positions.  The engine's
-    relabelled table keys use it: their order is a permutation of a node's
-    live vertices by degree, not an ascending one."""
-    fmt = f"0{max(order) + 1}b"
-    # character ~p is bit p; picked highest first, the bits spell the new set
-    pick = itemgetter(*[~p for p in reversed(order)])
-    return [int("".join(pick(format(f, fmt))), 2) for f in sets]
+    """Each bitset with bit j renamed from bit order[j] (bits outside order
+    dropped); order is a non-empty list of distinct positions below 128, and
+    every set lies in the 64-bit words of order's positions (below bit 64
+    when they all are, else below 128).  The engine's relabelled table keys
+    use it: their order is a permutation of a node's live vertices by
+    degree, not an ascending one.  The sets are transposed as in
+    transpose_rows, the element rows are taken in order, and the result is
+    transposed back."""
+    words = 1 + (max(order) >> 6)
+    out_words = (len(order) + 63) >> 6
+    out = []
+    for start in range(0, len(sets), _TRANSPOSE_CHUNK):
+        chunk = sets[start:start + _TRANSPOSE_CHUNK]
+        n = len(chunk) + (-len(chunk) & 63)
+        mat = map(int.to_bytes, chunk, repeat(8 * words), repeat("little"))
+        t = [_items(x, n) for x in _word_columns(b"".join(mat), words)]
+        # element order[j] of each block becomes bit j & 63 of word j >> 6
+        picked = bytearray(8 * n * out_words)
+        p = memoryview(picked).cast("Q")
+        for j, v in enumerate(order):
+            p[(j & 63) * out_words + (j >> 6)::64 * out_words] = t[v >> 6][v & 63::64]
+        new = [unpack(f"<{n}Q", x.to_bytes(8 * n, "little")) for x in _word_columns(picked, out_words)]
+        if out_words == 1:
+            out += new[0][:len(chunk)]
+        else:
+            out += [a | b << 64 for a, b in zip(new[0][:len(chunk)], new[1])]
+    return out

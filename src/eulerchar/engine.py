@@ -109,8 +109,8 @@ _TABLE_KEY_FACETS = 512
 # 28.1 MB.
 _TABLE_FACETS = 1 << 14
 # A keyed node that misses is looked up again under _iso_facets, a copy
-# relabelled by degree, if its live vertices fit in _ISO_BITS bits (a wide
-# node's gather formats its width) and the hash of its shape (m, live vertex
+# relabelled by degree, if its live vertices fit in _ISO_BITS bits (_gather
+# holds a set in two 64-bit words) and the hash of its shape (m, live vertex
 # count, popcount of each plane) came up before in the call: 5 % of such misses
 # on random:40,45 under bcrt, 57-74 % on rook-6-6, match-10 and nicgraph-7-2.
 # (Whole shape tuples held 1 MB more at peak on nicgraph-9-2 bcrt.)

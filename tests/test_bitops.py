@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from eulerchar import _bitops
 from eulerchar._bitops import (
-    compress_columns, count_is, count_planes, iter_bits, mask, maximal_sets, transpose_rows,
+    _gather, compress_columns, count_is, count_planes, iter_bits, mask, maximal_sets, transpose_rows,
 )
 from eulerchar.docio import parse_complex
 from test_cli import wide_sparse_document
@@ -28,8 +28,19 @@ def ref_bits(x):
 
 
 def ref_transpose(sets):
-    elements = {v for s in sets for v in ref_bits(s)}
-    return {v: sum(1 << i for i, s in enumerate(sets) if s >> v & 1) for v in elements}
+    # set by set and bit by bit, lowest first, at a cost of the sets' bits
+    rows = {}
+    for i, s in enumerate(sets):
+        while s:
+            low = s & -s
+            v = low.bit_length() - 1
+            rows[v] = rows.get(v, 0) | 1 << i
+            s ^= low
+    return rows
+
+
+def ref_gather(order, sets):
+    return [sum(1 << j for j, p in enumerate(order) if s >> p & 1) for s in sets]
 
 
 def ref_compress(keep, sets):
@@ -165,6 +176,45 @@ def test_many_sets_few_elements():
     check(rng.getrandbits(55) | 1 << 54, sets)
     # more sets than one byte matrix chunk holds, with empty byte columns
     check(1 << 54, [s & 0xFF00FF00FF00FF for s in sets])
+
+
+# set counts around _t64's 64-set blocks and transpose_rows' 4,096-set chunks
+BLOCK_COUNTS = (1, 63, 64, 65, 128, 129, 4095, 4096, 4097)
+
+
+def test_transpose_block_and_chunk_boundaries():
+    # universes of one and two 64-bit words, gapped byte columns (rows over
+    # the live bytes, sets of every written size) and one live column high
+    # up; every third set is empty
+    rng = random.Random(27)
+    universes = {
+        "one word": lambda: rng.getrandbits(64),
+        "two words": lambda: rng.getrandbits(128),
+        "gapped": lambda: sum(1 << p for p in rng.sample(range(10395), 8)) & GAPPED,
+        "top bit": lambda: 1 << 10394,
+    }
+    for m in BLOCK_COUNTS:
+        for name, draw in universes.items():
+            sets = [0 if i % 3 == 2 else draw() for i in range(m)]
+            assert transpose_rows(sets) == ref_transpose(sets), (m, name)
+
+
+def test_gather_matches_definition():
+    # orders shuffled over at most 64 and over 65-128 positions, with every
+    # position or some of them (the others are dropped), on sets spanning
+    # several 64-set blocks and one 4,096-set chunk boundary
+    rng = random.Random(0x6A7)
+    for width in (1, 8, 63, 64, 65, 100, 127, 128):
+        for m in (1, 63, 64, 65, 200, 4097):
+            order = rng.sample(range(width), width if m % 2 else rng.randint(1, width))
+            words = 1 + (max(order) >> 6)
+            sets = [rng.getrandbits(64 * words) for _ in range(m)] + [0, mask(64 * words)]
+            assert _gather(order, sets) == ref_gather(order, sets), (width, m)
+    # the identity and the reversal of one and two full words
+    for width in (64, 128):
+        sets = [rng.getrandbits(width) for _ in range(70)]
+        assert _gather(list(range(width)), sets) == sets
+        assert _gather(list(range(width))[::-1], sets) == ref_gather(list(range(width))[::-1], sets)
 
 
 def test_transpose_memory_is_bounded():

@@ -3,7 +3,7 @@ import tracemalloc
 from functools import reduce
 from itertools import combinations
 from math import comb
-from operator import or_
+from operator import itemgetter, or_
 
 import pytest
 
@@ -1188,6 +1188,40 @@ def test_iso_facets_ignores_labels_when_degrees_are_distinct(rng):
         target = rng.sample(range(3 * c.n), c.n)
         moved = [sum(1 << target[v] for v in iter_bits(f)) for f in c.facets]
         assert iso(make_complex(3 * c.n, moved)) == iso(c), c
+
+
+def string_gather(order, sets):
+    # the relabelled keys' first gather: character ~p of a set's binary
+    # string is bit p, and the characters picked highest first spell the key
+    fmt = f"0{max(order) + 1}b"
+    pick = itemgetter(*[~p for p in reversed(order)])
+    return [int("".join(pick(format(f, fmt))), 2) for f in sets]
+
+
+def test_iso_facets_keys_match_the_string_gather(rng, monkeypatch):
+    # every relabelled lookup of narrow-bcrt's searches (nodes of up to 124
+    # facets, two 64-set blocks) and random complexes on 65-128 vertices of
+    # up to 300 facets get the keys the string gather gave them, so no
+    # relabelled key, and no table hit, moves
+    nodes = []
+    iso_facets = engine._iso_facets
+
+    def spy(alive, facets, planes):
+        nodes.append((alive, list(facets), planes))
+        return iso_facets(alive, facets, planes)
+
+    monkeypatch.setattr(engine, "_iso_facets", spy)
+    for spec in ("rook:6,6", "match:10", "nicgraph:7,2"):
+        euler(generate(parse_spec(spec)), EngineConfig(algorithm="bcrt"))
+    assert len(nodes) == 56 and max(len(f) for _, f, _ in nodes) > 64
+    for _ in range(60):
+        n = rng.randint(65, 128)
+        c = make_complex(n, [rng.getrandbits(n) for _ in range(rng.randint(1, 300))])
+        planes = count_planes(c.facets)
+        nodes.append((reduce(or_, planes, 0), list(c.facets), planes))
+    keys = [iso_facets(*node) for node in nodes]
+    monkeypatch.setattr(engine, "_gather", string_gather)
+    assert [iso_facets(*node) for node in nodes] == keys
 
 
 def test_engine_counts_base_case_kinds():
