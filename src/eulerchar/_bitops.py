@@ -23,18 +23,18 @@ from struct import unpack
 _BYTE_BITS = [tuple(b for b in range(8) if (v >> b) & 1) for v in range(256)]
 
 # transpose_rows and _gather lay their sets out _TRANSPOSE_CHUNK at a time,
-# which bounds the matrix and _T64_SWAPS' masks (32 KB each).  In a 64×64
+# which bounds the matrix and _T64_SWAPS' masks (8 KB each).  In a 64×64
 # block, bit 64r + c is bit c of row r, and the transpose swaps bit k of each
 # bit's index with bit k + 6 for k = 0..5 (Warren, Hacker's Delight, section
 # 7-3): the bits with index bit k set and bit k + 6 clear, those under the
 # mask, trade places with the bits 63 * 2^k above them.
-_TRANSPOSE_CHUNK = 4096
+_TRANSPOSE_CHUNK = 1024
 
 
 def _swap_mask(k):
     # bits c with bit k of c set, in the rows r with bit k of r clear
     word = sum(1 << c for c in range(64) if c >> k & 1).to_bytes(8, "little")
-    block = b"".join(bytes(8) if r >> k & 1 else word for r in range(64))
+    block = (word * (1 << k) + bytes(8 << k)) * (32 >> k)
     return int.from_bytes(block * (_TRANSPOSE_CHUNK // 64), "little")
 
 

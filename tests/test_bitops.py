@@ -159,7 +159,7 @@ def test_seeded_widths():
                 union |= s
             check(union, sets)
             check(keep, sets + [0])
-            # the transpose's byte matrix at m = 1 and 9, over gapped byte
+            # the transpose's matrix rows at m = 1 and 9, over gapped byte
             # columns, and with zero sets interleaved
             for part in (sets[:1], sets[:9]):
                 gapped = [s & GAPPED for s in part]
@@ -174,12 +174,14 @@ def test_many_sets_few_elements():
     rng = random.Random(11)
     sets = [rng.getrandbits(55) for _ in range(5000)]
     check(rng.getrandbits(55) | 1 << 54, sets)
-    # more sets than one byte matrix chunk holds, with empty byte columns
+    # more sets than one chunk holds, with empty byte columns
     check(1 << 54, [s & 0xFF00FF00FF00FF for s in sets])
 
 
-# set counts around _t64's 64-set blocks and transpose_rows' 4,096-set chunks
-BLOCK_COUNTS = (1, 63, 64, 65, 128, 129, 4095, 4096, 4097)
+# set counts around _t64's 64-set blocks and the kernels' chunks of
+# _TRANSPOSE_CHUNK sets
+CHUNK = _bitops._TRANSPOSE_CHUNK
+BLOCK_COUNTS = (1, 63, 64, 65, 128, 129, CHUNK - 1, CHUNK, CHUNK + 1, 4095, 4096, 4097)
 
 
 def test_transpose_block_and_chunk_boundaries():
@@ -202,7 +204,7 @@ def test_transpose_block_and_chunk_boundaries():
 def test_gather_matches_definition():
     # orders shuffled over at most 64 and over 65-128 positions, with every
     # position or some of them (the others are dropped), on sets spanning
-    # several 64-set blocks and one 4,096-set chunk boundary
+    # several 64-set blocks and over chunk boundaries
     rng = random.Random(0x6A7)
     for width in (1, 8, 63, 64, 65, 100, 127, 128):
         for m in (1, 63, 64, 65, 200, 4097):
