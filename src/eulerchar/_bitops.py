@@ -125,8 +125,6 @@ def _word_columns(mat, words):
     words per set, each as an int with every 64-set block transposed: in
     column w, the 64-bit item 64b + c is bit c of word w over the sets of
     block b (bit r from set 64b + r)."""
-    if words == 1:
-        return [_t64(int.from_bytes(mat, "little"))]
     q = memoryview(mat).cast("Q")
     return [_t64(int.from_bytes(q[w::words], "little")) for w in range(words)]
 
@@ -149,12 +147,12 @@ def _items(x, n):
 
 
 def _live_bytes(sets, keep, cols):
-    """Iterator over the bytes of each set cut to keep at keep's live byte
-    columns cols, up to the set's last byte.  A set is written out at the
-    least of 64, 128, 256, ... bytes that holds it uncut (at most keep's
-    stride), not at the stride, so a short set among wide ones costs about
-    its own length, the column pickers, one a size, stay few, and the sets
-    are cut one at a time."""
+    """Iterator over each set cut to keep, as its bytes at keep's live byte
+    columns cols that lie below the size it is written out at (the others
+    are zero).  That size is the least of 64, 128, 256, ... bytes that holds
+    the uncut set, at most keep's stride, so a short set among wide ones
+    costs about its own length, the column pickers, one a size, stay few,
+    and the sets are cut one at a time."""
     stride = cols[-1] + 1
     sizes = [64 << k for k in range(((stride - 1) >> 6).bit_length())] + [stride]
     cut = map(and_, sets, repeat(keep))
