@@ -17,7 +17,7 @@ the engine's relabelled table keys).  They lay their sets out as rows of
 from bisect import bisect_left
 from functools import reduce
 from itertools import compress, groupby, repeat
-from operator import and_, itemgetter, lshift, or_
+from operator import and_, itemgetter, or_
 from struct import unpack
 
 _BYTE_BITS = [tuple(b for b in range(8) if (v >> b) & 1) for v in range(256)]
@@ -99,25 +99,27 @@ def transpose_rows(sets):
     else:
         cols = None
         keys = places = list(iter_bits(union))
-    rows = None
+    if len(sets) <= 64:
+        # one block: bit p's row is item p of the word columns end to end
+        xs = _word_columns(_matrix(sets, words, cols, union), words)
+        items = unpack(f"<{64 * words}Q", b"".join([x.to_bytes(512, "little") for x in xs]))
+        return dict(zip(keys, map(items.__getitem__, places)))
+    parts = []
     for start in range(0, len(sets), _TRANSPOSE_CHUNK):
         chunk = sets[start:start + _TRANSPOSE_CHUNK]
-        if cols:
-            mat = map(bytes.ljust, _live_bytes(chunk, union, cols), repeat(8 * words), repeat(b"\0"))
-        else:
-            mat = map(int.to_bytes, chunk, repeat(8 * words), repeat("little"))
-        xs = _word_columns(b"".join(mat), words)
-        if len(chunk) <= 64:
-            # one block: bit p's row is item p of the word columns end to end
-            items = unpack(f"<{64 * words}Q", b"".join([x.to_bytes(512, "little") for x in xs]))
-            got = list(map(items.__getitem__, places))
-        else:
-            # the row of bit p is items p & 63, + 64, ... of column p >> 6
-            n = len(chunk) + (-len(chunk) & 63)
-            t = [_items(x, n) for x in xs]
-            got = [int.from_bytes(t[p >> 6][p & 63::64], "little") for p in places]
-        rows = list(map(or_, rows, map(lshift, got, repeat(start)))) if start else got
-    return dict(zip(keys, rows))
+        n = len(chunk) + (-len(chunk) & 63)
+        t = [_items(x, n) for x in _word_columns(_matrix(chunk, words, cols, union), words)]
+        # the row of bit p is items p & 63, + 64, ... of column p >> 6
+        parts.append([t[p >> 6][p & 63::64].tobytes() for p in places])
+    return {v: int.from_bytes(b"".join(row), "little") for v, row in zip(keys, zip(*parts))}
+
+
+def _matrix(sets, words, cols=None, keep=0):
+    """The sets as rows of `words` 64-bit words: over keep's live byte
+    columns cols (see _live_bytes), or over their own bytes."""
+    if cols:
+        return b"".join(map(bytes.ljust, _live_bytes(sets, keep, cols), repeat(8 * words), repeat(b"\0")))
+    return b"".join(map(int.to_bytes, sets, repeat(8 * words), repeat("little")))
 
 
 def _word_columns(mat, words):
@@ -352,8 +354,7 @@ def _gather(order, sets):
     for start in range(0, len(sets), _TRANSPOSE_CHUNK):
         chunk = sets[start:start + _TRANSPOSE_CHUNK]
         n = len(chunk) + (-len(chunk) & 63)
-        mat = map(int.to_bytes, chunk, repeat(8 * words), repeat("little"))
-        t = [_items(x, n) for x in _word_columns(b"".join(mat), words)]
+        t = [_items(x, n) for x in _word_columns(_matrix(chunk, words), words)]
         # element order[j] of each block becomes bit j & 63 of word j >> 6
         picked = bytearray(8 * n * out_words)
         p = memoryview(picked).cast("Q")
