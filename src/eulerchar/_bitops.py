@@ -101,24 +101,24 @@ def transpose_rows(sets):
         keys = places = list(iter_bits(union))
     if len(sets) <= 64:
         # one block: bit p's row is item p of the word columns end to end
-        xs = _word_columns(_matrix(sets, words, cols, union), words)
+        xs = _word_columns(_matrix(sets, words, cols), words)
         items = unpack(f"<{64 * words}Q", b"".join([x.to_bytes(512, "little") for x in xs]))
         return dict(zip(keys, map(items.__getitem__, places)))
     parts = []
     for start in range(0, len(sets), _TRANSPOSE_CHUNK):
         chunk = sets[start:start + _TRANSPOSE_CHUNK]
         n = len(chunk) + (-len(chunk) & 63)
-        t = [_items(x, n) for x in _word_columns(_matrix(chunk, words, cols, union), words)]
+        t = [_items(x, n) for x in _word_columns(_matrix(chunk, words, cols), words)]
         # the row of bit p is items p & 63, + 64, ... of column p >> 6
         parts.append([t[p >> 6][p & 63::64].tobytes() for p in places])
     return {v: int.from_bytes(b"".join(row), "little") for v, row in zip(keys, zip(*parts))}
 
 
-def _matrix(sets, words, cols=None, keep=0):
-    """The sets as rows of `words` 64-bit words: over keep's live byte
-    columns cols (see _live_bytes), or over their own bytes."""
+def _matrix(sets, words, cols=None):
+    """The sets as rows of `words` 64-bit words: over the live byte columns
+    cols of their union (see _live_bytes), or over their own bytes."""
     if cols:
-        return b"".join(map(bytes.ljust, _live_bytes(sets, keep, cols), repeat(8 * words), repeat(b"\0")))
+        return b"".join(map(bytes.ljust, _live_bytes(sets, cols), repeat(8 * words), repeat(b"\0")))
     return b"".join(map(int.to_bytes, sets, repeat(8 * words), repeat("little")))
 
 
@@ -148,17 +148,18 @@ def _items(x, n):
     return memoryview(x.to_bytes(8 * n, "little")).cast("Q")
 
 
-def _live_bytes(sets, keep, cols):
-    """Iterator over each set cut to keep, as its bytes at keep's live byte
-    columns cols that lie below the size it is written out at (the others
-    are zero).  That size is the least of 64, 128, 256, ... bytes that holds
-    the uncut set, at most keep's stride, so a short set among wide ones
-    costs about its own length, the column pickers, one a size, stay few,
-    and the sets are cut one at a time."""
+def _live_bytes(sets, cols, keep=None):
+    """Iterator over each set, cut to keep when one is given, as its bytes
+    at the live byte columns cols that lie below the size it is written out
+    at (its bytes outside cols must be zero).  That size is the least of 64,
+    128, 256, ... bytes that holds the uncut set, at most cols[-1] + 1, so a
+    short set among wide ones costs about its own length and the column
+    pickers, one a size, stay few.  The sets are cut one at a time, and not
+    at all without keep (a cut copies a wide set)."""
     stride = cols[-1] + 1
     sizes = [64 << k for k in range(((stride - 1) >> 6).bit_length())] + [stride]
-    cut = map(and_, sets, repeat(keep))
-    if len(sizes) == 1:
+    cut = sets if keep is None else map(and_, sets, repeat(keep))
+    if len(sizes) == 1:  # finding each set's size is a third of a small call
         return map(bytes, map(_picker(cols), map(int.to_bytes, cut, repeat(stride), repeat("little"))))
     index = list(map(bisect_left, repeat([8 * n for n in sizes[:-1]]), map(int.bit_length, sets)))
     pick = {i: _picker(cols[:bisect_left(cols, sizes[i])]) for i in set(index)}
@@ -314,7 +315,7 @@ def compress_columns(keep, sets):
     live = keep.to_bytes(stride, "little")
     cols = list(compress(range(stride), live))
     if len(cols) < stride:
-        sets = list(map(int.from_bytes, _live_bytes(sets, keep, cols), repeat("little")))
+        sets = list(map(int.from_bytes, _live_bytes(sets, cols, keep), repeat("little")))
         keep = int.from_bytes(live.translate(None, b"\0"), "little")
     else:
         sets = [s & keep for s in sets]
