@@ -18,7 +18,7 @@ from bisect import bisect_left
 from functools import reduce
 from itertools import compress, groupby, repeat
 from operator import and_, itemgetter, or_
-from struct import unpack
+from struct import pack, unpack
 
 _BYTE_BITS = [tuple(b for b in range(8) if (v >> b) & 1) for v in range(256)]
 
@@ -119,6 +119,8 @@ def _matrix(sets, words, cols=None):
     cols of their union (see _live_bytes), or over their own bytes."""
     if cols:
         return b"".join(map(bytes.ljust, _live_bytes(sets, cols), repeat(8 * words), repeat(b"\0")))
+    if words == 1:
+        return pack(f"<{len(sets)}Q", *sets)
     return b"".join(map(int.to_bytes, sets, repeat(8 * words), repeat("little")))
 
 
