@@ -7,18 +7,20 @@ split threshold that split into independent factors) and sum splits (nodes
 above it that split into vertex-disjoint parts).
 
 With --json PATH the rows also go to PATH as one JSON document: per
-instance and configuration χ̃, counters(), sum_splits, cache_hits,
-cache_evictions, relabelled_keys (table lookups made under a
-degree-relabelled copy), max_depth (the deepest stack of pending work, along
-which the table keys of unsolved nodes are held), split_leaves (dbms second
-children solved at their split, not counted as nodes), the median seconds,
-the median in reference seconds and the row's peak RSS (peak_rss_kb; each
-row runs in a fresh process that receives the instance and reads its own
-address space's high-water mark, so its figure is that row's alone), plus
-the Python version, the usable CPU count, the git commit of the checkout
-and whether the checkout has uncommitted changes or untracked files (dirty;
-None outside git).  Every timed run sits between two runs of
-perfbench/run.py's calibration loop, which scales it to reference seconds
+instance and configuration χ̃, counters(), the fields of
+EngineStats.extras() (sum_splits, cache_hits, cache_evictions,
+relabelled_keys for table lookups made under a degree-relabelled copy,
+max_depth for the deepest stack of pending work, along which the table keys
+of unsolved nodes are held, and split_leaves for dbms second children solved
+at their split, not counted as nodes), the median seconds, the median in
+reference seconds and the row's peak RSS (peak_rss_kb; each row runs in a
+fresh process that receives the instance and reads its own address space's
+high-water mark, so its figure is that row's alone), plus the Python
+version, the usable CPU count, the git commit of the checkout, whether the
+checkout has uncommitted changes or untracked files (dirty; None outside
+git) and src_lines, the total line count of the eulerchar modules measured
+(src/eulerchar/*.py in a checkout).  Every timed run sits between two runs
+of perfbench/run.py's calibration loop, which scales it to reference seconds
 (see that file): the seconds the run would take on a host where the loop
 takes its reference time, so points from different hosts and hours compare.
 
@@ -42,6 +44,7 @@ import sys
 import time
 from pathlib import Path
 
+import eulerchar
 from eulerchar import CapacityError, EngineConfig, InputError, euler
 from eulerchar.engine import ALGORITHMS, BCRT_PIVOTS, DBMS_PIVOTS, DEFAULT_PIVOT
 from eulerchar.generators import generate, parse_spec
@@ -206,12 +209,7 @@ def main(argv=None):
                         "nerve": args.nerve,
                         "chi": value,
                         "counters": stats.counters(),
-                        "sum_splits": stats.sum_splits,
-                        "cache_hits": stats.cache_hits,
-                        "cache_evictions": stats.cache_evictions,
-                        "relabelled_keys": stats.relabelled_keys,
-                        "max_depth": stats.max_depth,
-                        "split_leaves": stats.split_leaves,
+                        **stats.extras(),
                         "median_s": med,
                         "median_ref_s": med_ref,
                         "repeat": args.repeat,
@@ -225,6 +223,9 @@ def main(argv=None):
             "nproc": len(os.sched_getaffinity(0)),
             "git_commit": git(["rev-parse", "HEAD"]),
             "dirty": None if status is None else status != "",
+            "src_lines": sum(
+                p.read_bytes().count(b"\n") for p in Path(eulerchar.__file__).parent.glob("*.py")
+            ),
             "rows": rows,
         }
         with open(args.json, "w") as out:

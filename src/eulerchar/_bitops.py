@@ -3,18 +3,19 @@
 A face / vertex set is a plain Python int used as a bit vector (bit i =
 element i).  CPython big ints already execute the word-level boolean ops in
 C, so these kernels keep the Python-level loop counts low: maximal_sets
-tests a dense batch by its sets' small complements, a large one through a
-transposed incidence view and a small one level by level, iter_bits scans
-an int byte by byte through a table, compress_columns drops the dead byte
-columns of its mask and closes the remaining gaps with a few mask-and-shift
-rounds shared by every set, and one block-transpose kernel, _t64, serves
-both transpose_rows (each element's row of set indices) and _gather (behind
-the engine's relabelled table keys).  They lay their sets out as rows of
-64-bit words, _TRANSPOSE_CHUNK sets at a time, and _t64 transposes every
-64×64 bit block of one word column at once with six delta swaps on one int.
+tests a dense batch by its sets' small complements and any other one size
+level by size level, a large one through the dominance walk _undominated
+over a transposed incidence view (the engine's large deletions share that
+walk) and a small one in C, iter_bits scans an int byte by byte through a
+table, compress_columns drops the dead byte columns of its mask and closes
+the remaining gaps with a few mask-and-shift rounds shared by every set, and
+one block-transpose kernel, _t64, serves both transpose_rows (each element's
+row of set indices) and _gather (behind the engine's relabelled table
+keys).  They lay their sets out as rows of 64-bit words, _TRANSPOSE_CHUNK
+sets at a time, and _t64 transposes every 64×64 bit block of one word column
+at once with six delta swaps on one int.
 """
 
-from bisect import bisect_left
 from functools import reduce
 from itertools import compress, groupby, repeat
 from operator import and_, itemgetter, or_
@@ -42,9 +43,10 @@ _T64_SWAPS = [(63 << k, _swap_mask(k)) for k in range(6)]
 
 # maximal_sets' regimes.  A batch of more than _DENSE_BATCH sets whose
 # complements in the union hold on average fewer than 1/_DENSE_SHARE of its
-# vertices tests complements, at a cost of about their total size; else one
-# of more than _LARGE_BATCH sets uses the transposed dominator check, and a
-# smaller one tests each size level against the sets kept above it.  Best of
+# vertices tests complements, at a cost of about their total size.  Else each
+# size level is tested against the levels above it: in a batch of more than
+# _LARGE_BATCH sets by _undominated over the batch's transpose, in a smaller
+# one against the sets kept there.  Best of
 # 3 on every batch of random_3cnf(60, 1) the gate takes there, complements
 # against the other regimes: dbms 3,256 batches 0.77 against 5.85 s, bcrt
 # 1,750 batches 0.77 against 5.93 s.  A gate on the largest complement
@@ -150,33 +152,14 @@ def _items(x, n):
     return memoryview(x.to_bytes(8 * n, "little")).cast("Q")
 
 
-def _live_bytes(sets, cols, keep=None):
-    """Iterator over each set, cut to keep when one is given, as its bytes
-    at the live byte columns cols that lie below the size it is written out
-    at (its bytes outside cols must be zero).  That size is the least of 64,
-    128, 256, ... bytes that holds the uncut set, at most cols[-1] + 1, so a
-    short set among wide ones costs about its own length and the column
-    pickers, one a size, stay few.  The sets are cut one at a time, and not
-    at all without keep (a cut copies a wide set)."""
-    stride = cols[-1] + 1
-    sizes = [64 << k for k in range(((stride - 1) >> 6).bit_length())] + [stride]
-    cut = sets if keep is None else map(and_, sets, repeat(keep))
-    if len(sizes) == 1:  # finding each set's size is a third of a small call
-        return map(bytes, map(_picker(cols), map(int.to_bytes, cut, repeat(stride), repeat("little"))))
-    index = list(map(bisect_left, repeat([8 * n for n in sizes[:-1]]), map(int.bit_length, sets)))
-    pick = {i: _picker(cols[:bisect_left(cols, sizes[i])]) for i in set(index)}
-    raw = map(int.to_bytes, cut, map(sizes.__getitem__, index), repeat("little"))
-    return map(bytes, map(_call, map(pick.__getitem__, index), raw))
-
-
-_call = itemgetter.__call__  # operator.call, before Python 3.11
-
-
-def _picker(cols):
+def _live_bytes(sets, cols):
+    """Iterator over each set's bytes at the live byte columns cols, in
+    order.  Every set is written out at cols[-1] + 1 bytes, so it must fit
+    there and its bytes outside cols must be zero; the sets are taken one
+    at a time, so a lazy iterable holds one set at that width at once."""
     # a single index would make itemgetter return an int, not a tuple
-    if len(cols) > 1:
-        return itemgetter(*cols)
-    return itemgetter(slice(cols[0], cols[0] + 1) if cols else slice(0))
+    pick = itemgetter(*cols) if len(cols) > 1 else itemgetter(slice(cols[0], cols[0] + 1))
+    return map(bytes, map(pick, map(int.to_bytes, sets, repeat(cols[-1] + 1), repeat("little"))))
 
 
 def maximal_sets(sets):
@@ -185,8 +168,8 @@ def maximal_sets(sets):
     Duplicates are dropped.  Result is sorted ascending as integers, so the
     output order is canonical regardless of input order.  Three regimes
     (see _DENSE_BATCH), each costing the small side of its batch: dense
-    batches compare complements, which hold few vertices; large ones AND
-    transposed rows over a set's vertices; small ones compare sets in C.
+    batches compare complements, which hold few vertices; large ones walk
+    transposed rows over a set's vertices (_undominated); small ones in C.
     """
     order = sorted(set(sets), key=int.bit_count, reverse=True)
     if not order or order[0].bit_count() == order[-1].bit_count():
@@ -198,13 +181,20 @@ def maximal_sets(sets):
         cells = len(order) * union.bit_count()
         if _DENSE_SHARE * (cells - sum(map(int.bit_count, order))) < cells:
             return sorted(_maximal_complements(union, order))
-    if len(order) > _LARGE_BATCH:
-        return sorted(_maximal_transposed(order))
     # a set can only lie in a strictly larger one: each size level is tested
-    # against the levels kept above it (s & k == s says s ⊆ k; `in` scans in C)
+    # against the levels above it
     kept = []
-    for _, level in groupby(order, int.bit_count):
-        kept += [s for s in level if s not in map(s.__and__, kept)]
+    if len(order) > _LARGE_BATCH:
+        rows = transpose_rows(order)
+        above = 0
+        for _, level in groupby(order, int.bit_count):
+            level = list(level)
+            kept += _undominated(rows, mask(above), level)
+            above += len(level)
+    else:
+        for _, level in groupby(order, int.bit_count):
+            # s & k == s says s ⊆ k; `in` scans in C
+            kept += [s for s in level if s not in map(s.__and__, kept)]
     return sorted(kept)
 
 
@@ -238,31 +228,25 @@ def _maximal_complements(union, order):
     return kept
 
 
-def _maximal_transposed(order):
-    # order is sorted by descending size; a set can only be dominated by a
-    # strictly larger one, i.e. by an earlier index from a previous size run.
-    rows = transpose_rows(order)
-    kept = []
-    bound_mask = 0
-    cur = order[0].bit_count()
-    level_mask = 0  # accumulates (1 << i) for indices at the current level
-    for i, s in enumerate(order):
-        sz = s.bit_count()
-        if sz != cur:
-            bound_mask |= level_mask
-            level_mask = 0
-            cur = sz
-        level_mask |= 1 << i
-        if bound_mask:
-            acc = bound_mask
-            for v in iter_bits(s):
-                acc &= rows[v]
-                if not acc:
-                    break
-            if acc:
-                continue
-        kept.append(s)
-    return kept
+def _undominated(rows, within, sets):
+    """The sets s for which the AND of rows[v] over the vertices v of s,
+    started from the index mask within, reaches 0.  With rows a family's
+    transpose_rows, those are the sets that lie in none of the family's sets
+    indexed by within: within = 0 keeps every set, and an empty set is kept
+    only then."""
+    out = []
+    for s in sets:
+        # s's vertices by a low-bit loop, a little faster than iter_bits on
+        # sets of a few vertices (replays of narrow-bcrt's large splits)
+        acc = within
+        b = s
+        while b and acc:
+            x = b & -b
+            acc &= rows.get(x.bit_length() - 1, 0)
+            b ^= x
+        if not acc:
+            out.append(s)
+    return out
 
 
 def count_planes(sets):
@@ -308,8 +292,7 @@ def compress_columns(keep, sets):
     every kept bit whose distance to its place has bit i set 2^i places
     right, so ceil(log2 w) rounds of one mask each close every gap.  When
     columns are dropped, each set is cut and narrowed before the next (see
-    _live_bytes), so no set is held at keep's full width unless it reaches
-    that far."""
+    _live_bytes), so one set at keep's full width is held at a time."""
     if not keep:
         return 0, [0] * len(sets)
     k = keep.bit_count()
@@ -317,7 +300,8 @@ def compress_columns(keep, sets):
     live = keep.to_bytes(stride, "little")
     cols = list(compress(range(stride), live))
     if len(cols) < stride:
-        sets = list(map(int.from_bytes, _live_bytes(sets, cols, keep), repeat("little")))
+        cut = map(and_, sets, repeat(keep))
+        sets = list(map(int.from_bytes, _live_bytes(cut, cols), repeat("little")))
         keep = int.from_bytes(live.translate(None, b"\0"), "little")
     else:
         sets = [s & keep for s in sets]

@@ -74,13 +74,7 @@ def _cmd_euler(args) -> int:
 
         def solve():
             value, stats = engine.euler(cx, cfg)
-            counters = stats.counters()
-            counters["sum_splits"] = stats.sum_splits
-            counters["cache_hits"] = stats.cache_hits
-            counters["cache_evictions"] = stats.cache_evictions
-            counters["relabelled_keys"] = stats.relabelled_keys
-            counters["max_depth"] = stats.max_depth
-            counters["split_leaves"] = stats.split_leaves
+            counters = {**stats.counters(), **stats.extras()}
             counters["algorithm"] = args.algorithm
             counters["pivot"] = cfg.resolved_pivot()
             return value, counters

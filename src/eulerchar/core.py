@@ -9,12 +9,12 @@ to share between threads.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from math import isqrt
+from operator import and_
 from typing import Iterable, Optional, Union
 
-from ._bitops import (
-    compress_columns, count_is, count_planes, iter_bits, mask, maximal_sets, transpose_rows
-)
+from ._bitops import compress_columns, iter_bits, mask, maximal_sets, transpose_rows
 from .errors import InputError
 
 FaceLike = Union[int, Iterable[int]]
@@ -105,8 +105,7 @@ def _closure_facets(facets, s):
 def is_cone(cx: Complex) -> Optional[int]:
     """Lowest vertex contained in every facet, or None.  Void and {∅} are
     not cones."""
-    m = len(cx.facets)
-    common = count_is(count_planes(cx.facets), mask(cx.n), m) if m else 0
+    common = reduce(and_, cx.facets) if cx.facets else 0
     return (common & -common).bit_length() - 1 if common else None
 
 

@@ -49,13 +49,13 @@ derived from (seed, node path), which makes every run bit-reproducible.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import reduce
 from operator import and_, or_, xor
 from typing import Optional
 
 from ._bitops import (
-    _gather, compress_columns, count_is, count_planes, iter_bits, mask, maximal_sets,
+    _gather, _undominated, compress_columns, count_is, count_planes, iter_bits, mask, maximal_sets,
     transpose_rows,
 )
 from .core import (
@@ -205,7 +205,7 @@ class EngineStats:
     elapsed: float = 0.0
 
     def counters(self):
-        """Deterministic counters (everything except elapsed)."""
+        """The five deterministic counters that the benchmark sums."""
         return {
             "nodes_expanded": self.nodes_expanded,
             "base_case_hits": dict(sorted(self.base_case_hits.items())),
@@ -213,6 +213,11 @@ class EngineStats:
             "abundant_eliminations": self.abundant_eliminations,
             "independence_splits": self.independence_splits,
         }
+
+    def extras(self):
+        """Every field but elapsed and counters()' keys, in field order."""
+        skip = self.counters().keys() | {"elapsed"}
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in skip}
 
 
 # ---------------------------------------------------------------------------
@@ -495,27 +500,14 @@ def _deletion(keep, cut):
     sorted.
 
     The scan tests each cut set h against the keep sets in C (h & g == h
-    says h ⊆ g).  The transpose, with rows[v] the mask of the keep sets
+    says h ⊆ g).  The transpose walk (_undominated, shared with
+    maximal_sets' large batches), with rows[v] the mask of the keep sets
     holding v, takes the keep sets holding h as the AND of rows[v] over v in
     h: all of them for an empty h, none once some v of h is in no keep set.
     See _TRANSPOSED_DELETION_FACETS for which regime a split takes."""
     if len(keep) <= _SCAN_DELETION_KEEP or len(keep) + len(cut) <= _TRANSPOSED_DELETION_FACETS:
         return sorted(keep + [h for h in cut if h not in map(h.__and__, keep)])
-    rows = transpose_rows(keep)
-    every = mask(len(keep))
-    inner = list(keep)
-    for h in cut:
-        # h's vertices by a low-bit loop, a little faster than iter_bits on
-        # sets of a few vertices (replays of narrow-bcrt's large splits)
-        acc = every
-        b = h
-        while b and acc:
-            x = b & -b
-            acc &= rows.get(x.bit_length() - 1, 0)
-            b ^= x
-        if not acc:
-            inner.append(h)
-    return sorted(inner)
+    return sorted(keep + _undominated(transpose_rows(keep), mask(len(keep)), cut))
 
 
 def _split_bcrt_masked(alive, facets, sigma):

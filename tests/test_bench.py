@@ -33,6 +33,8 @@ def test_benchmark_writes_json(tmp_path):
     # there is neither
     assert doc["dirty"] in (True, False, None)
     assert (doc["dirty"] is None) == (doc["git_commit"] is None)
+    # the line count of the package's modules, net lines removed being a metric
+    assert isinstance(doc["src_lines"], int) and doc["src_lines"] > 0
     # every strategy of both algorithms, one row each
     assert len(doc["rows"]) == 11
     for row in doc["rows"]:

@@ -383,3 +383,62 @@ def test_dense_regime_gates(monkeypatch):
             before = len(calls)
             assert maximal_sets(sets) == ref_maximal(sets), (m, extra)
             assert (len(calls) > before) == (m > _bitops._DENSE_BATCH and extra < 0), (m, extra)
+
+
+def levelled_family(rng, distinct, width=160):
+    """distinct sets of 0-24 vertices on width vertices with the empty set,
+    sets nested across size levels (a set less one to three of its vertices)
+    and duplicates; few enough per set that no batch is dense."""
+    sets = {0}
+    while len(sets) < distinct:
+        if len(sets) > 8 and rng.random() < 0.3:
+            s = rng.choice(sorted(sets))
+            for v in rng.sample(list(iter_bits(s)), min(s.bit_count(), rng.randint(1, 3))):
+                s &= ~(1 << v)
+        else:
+            s = sum(1 << v for v in rng.sample(range(width), rng.randint(1, 24)))
+        sets.add(s)
+    sets = list(sets)
+    sets += rng.choices(sets, k=distinct // 8)
+    rng.shuffle(sets)
+    return sets
+
+
+def test_large_maximal_sets_match_brute_force(monkeypatch):
+    # only a batch of more than _LARGE_BATCH distinct sets takes the walk
+    calls = []
+    walk = _bitops._undominated
+
+    def spy(rows, within, sets):
+        calls.append(len(sets))
+        return walk(rows, within, sets)
+
+    monkeypatch.setattr(_bitops, "_undominated", spy)
+    rng = random.Random(28)
+    for distinct in (_bitops._LARGE_BATCH, _bitops._LARGE_BATCH + 1, 3000):
+        sets = levelled_family(rng, distinct)
+        assert len(set(sets)) == distinct < len(sets)
+        before = len(calls)
+        got = maximal_sets(sets)
+        assert got == ref_maximal(sets), distinct
+        assert 1 < len(got) < distinct - 100, distinct
+        # one walk a size level, over every distinct set
+        assert (len(calls) > before) == (distinct > _bitops._LARGE_BATCH), distinct
+        if distinct > _bitops._LARGE_BATCH:
+            assert len(calls) - before > 2 and sum(calls[before:]) == distinct
+
+
+def test_undominated_edge_cases():
+    family = [0b0110, 0b1011, 0b1100]
+    rows = transpose_rows(family)
+    sets = [0, 0b0010, 0b0100, 0b0110, 0b1001, 0b1110, 0b10000]
+    # no set to lie in: every set is kept, the empty set too
+    assert _bitops._undominated(rows, 0, sets) == sets
+    assert _bitops._undominated({}, 0, sets) == sets
+    # the empty set lies in every indexed set; a vertex in no set keys no row
+    for within in range(1, 8):
+        inside = [f for i, f in enumerate(family) if within >> i & 1]
+        want = [s for s in sets if not any(s & f == s for f in inside)]
+        assert _bitops._undominated(rows, within, sets) == want, within
+        assert 0 not in want
+    assert _bitops._undominated(rows, 0b100, sets) == [0b0010, 0b0110, 0b1001, 0b1110, 0b10000]
