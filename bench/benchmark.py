@@ -18,8 +18,9 @@ fresh process that receives the instance and reads its own address space's
 high-water mark, so its figure is that row's alone), plus the Python
 version, the usable CPU count, the git commit of the checkout, whether the
 checkout has uncommitted changes or untracked files (dirty; None outside
-git) and src_lines, the total line count of the eulerchar modules measured
-(src/eulerchar/*.py in a checkout).  Every timed run sits between two runs
+git), src_lines, the total line count of the eulerchar modules measured
+(src/eulerchar/*.py in a checkout), and src_code_lines, their lines that
+hold code (see code_lines).  Every timed run sits between two runs
 of perfbench/run.py's calibration loop, which scales it to reference seconds
 (see that file): the seconds the run would take on a host where the loop
 takes its reference time, so points from different hosts and hours compare.
@@ -32,7 +33,9 @@ Examples:
 """
 
 import argparse
+import ast
 import importlib.util
+import io
 import json
 import os
 import pickle
@@ -42,6 +45,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 import eulerchar
@@ -133,6 +137,29 @@ def run_fresh(cx, cfg, repeat):
     return pickle.loads(done.stdout)
 
 
+# tokens that hold no code: comments, line ends, indentation and the end
+_NOT_CODE = {
+    tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+    tokenize.ENDMARKER,
+}
+
+
+def code_lines(source):
+    """The number of lines of Python source that hold code: not blank, not
+    only a comment, and not inside a docstring (a statement that is a lone
+    string).  Unlike the raw line count, comments and docstrings cannot
+    move it."""
+    docs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Expr) and isinstance(getattr(node.value, "value", None), str):
+            docs.update(range(node.lineno, node.end_lineno + 1))
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _NOT_CODE:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - docs)
+
+
 def git(args):
     """Stripped stdout of a git command run in this checkout, or None outside
     git."""
@@ -158,7 +185,6 @@ def main(argv=None):
         help="comma list ('default' = the algorithm's default pivot); default = all per algorithm",
     )
     ap.add_argument("--repeat", type=int, default=3)
-    ap.add_argument("--nerve", choices=["on", "off"], default="on")
     ap.add_argument("--json", metavar="PATH", help="also write the rows to PATH as JSON")
     args = ap.parse_args(argv)
 
@@ -192,7 +218,7 @@ def main(argv=None):
             else:
                 pivots = all_pivots
             for piv in pivots:
-                cfg = EngineConfig(algorithm=alg, pivot=piv, use_nerve=args.nerve == "on")
+                cfg = EngineConfig(algorithm=alg, pivot=piv)
                 value, stats, med, med_ref, rss = run_fresh(cx, cfg, args.repeat)
                 print(
                     f"{spec_text:>18} {cx.n:>5} {cx.num_facets:>7}  "
@@ -206,7 +232,6 @@ def main(argv=None):
                         "instance": spec_text,
                         "algorithm": alg,
                         "pivot": piv,
-                        "nerve": args.nerve,
                         "chi": value,
                         "counters": stats.counters(),
                         **stats.extras(),
@@ -218,14 +243,14 @@ def main(argv=None):
                 )
     if args.json:
         status = git(["status", "--porcelain"])  # one line per changed or untracked path
+        modules = sorted(Path(eulerchar.__file__).parent.glob("*.py"))
         doc = {
             "python": platform.python_version(),
             "nproc": len(os.sched_getaffinity(0)),
             "git_commit": git(["rev-parse", "HEAD"]),
             "dirty": None if status is None else status != "",
-            "src_lines": sum(
-                p.read_bytes().count(b"\n") for p in Path(eulerchar.__file__).parent.glob("*.py")
-            ),
+            "src_lines": sum(p.read_bytes().count(b"\n") for p in modules),
+            "src_code_lines": sum(code_lines(p.read_text("utf-8")) for p in modules),
             "rows": rows,
         }
         with open(args.json, "w") as out:

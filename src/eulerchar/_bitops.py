@@ -10,7 +10,7 @@ walk) and a small one in C, iter_bits scans an int byte by byte through a
 table, compress_columns drops the dead byte columns of its mask and closes
 the remaining gaps with a few mask-and-shift rounds shared by every set, and
 one block-transpose kernel, _t64, serves both transpose_rows (each element's
-row of set indices) and _gather (behind the engine's relabelled table
+row of set indices) and relabel_by_degree (the engine's relabelled table
 keys).  They lay their sets out as rows of 64-bit words, _TRANSPOSE_CHUNK
 sets at a time, and _t64 transposes every 64×64 bit block of one word column
 at once with six delta swaps on one int.
@@ -23,12 +23,13 @@ from struct import pack, unpack
 
 _BYTE_BITS = [tuple(b for b in range(8) if (v >> b) & 1) for v in range(256)]
 
-# transpose_rows and _gather lay their sets out _TRANSPOSE_CHUNK at a time,
-# which bounds the matrix and _T64_SWAPS' masks (8 KB each).  In a 64×64
-# block, bit 64r + c is bit c of row r, and the transpose swaps bit k of each
-# bit's index with bit k + 6 for k = 0..5 (Warren, Hacker's Delight, section
-# 7-3): the bits with index bit k set and bit k + 6 clear, those under the
-# mask, trade places with the bits 63 * 2^k above them.
+# transpose_rows lays its sets out _TRANSPOSE_CHUNK at a time, and
+# relabel_by_degree takes at most that many, which bounds the matrix and
+# _T64_SWAPS' masks (8 KB each).  In a 64×64 block, bit 64r + c is bit c of
+# row r, and the transpose swaps bit k of each bit's index with bit k + 6 for
+# k = 0..5 (Warren, Hacker's Delight, section 7-3): the bits with index bit k
+# set and bit k + 6 clear, those under the mask, trade places with the bits
+# 63 * 2^k above them.
 _TRANSPOSE_CHUNK = 1024
 
 
@@ -95,12 +96,12 @@ def transpose_rows(sets):
     live = union.to_bytes(stride, "little")
     cols = list(compress(range(stride), live))
     words = (len(cols) + 7) >> 3
+    # either way each element keys its row in ascending order
+    keys = places = list(iter_bits(union))
     if words < (stride + 7) >> 3:
-        keys = [8 * j + b for j in cols for b in _BYTE_BITS[live[j]]]
         places = list(iter_bits(int.from_bytes(live.translate(None, b"\0"), "little")))
     else:
         cols = None
-        keys = places = list(iter_bits(union))
     if len(sets) <= 64:
         # one block: bit p's row is item p of the word columns end to end
         xs = _word_columns(_matrix(sets, words, cols), words)
@@ -326,30 +327,27 @@ def compress_columns(keep, sets):
     return k, sets
 
 
-def _gather(order, sets):
-    """Each bitset with bit j renamed from bit order[j] (bits outside order
-    dropped); order is a non-empty list of distinct positions below 128, and
-    every set lies in the 64-bit words of order's positions (below bit 64
-    when they all are, else below 128).  The engine's relabelled table keys
-    use it: their order is a permutation of a node's live vertices by
-    degree, not an ascending one.  The sets are transposed as in
-    transpose_rows, the element rows are taken in order, and the result is
-    transposed back."""
-    words = 1 + (max(order) >> 6)
-    out_words = (len(order) + 63) >> 6
-    out = []
-    for start in range(0, len(sets), _TRANSPOSE_CHUNK):
-        chunk = sets[start:start + _TRANSPOSE_CHUNK]
-        n = len(chunk) + (-len(chunk) & 63)
-        t = [_items(x, n) for x in _word_columns(_matrix(chunk, words), words)]
-        # element order[j] of each block becomes bit j & 63 of word j >> 6
-        picked = bytearray(8 * n * out_words)
-        p = memoryview(picked).cast("Q")
-        for j, v in enumerate(order):
-            p[(j & 63) * out_words + (j >> 6)::64 * out_words] = t[v >> 6][v & 63::64]
-        new = [unpack(f"<{n}Q", x.to_bytes(8 * n, "little")) for x in _word_columns(picked, out_words)]
-        if out_words == 1:
-            out += new[0][:len(chunk)]
-        else:
-            out += [a | b << 64 for a, b in zip(new[0][:len(chunk)], new[1])]
-    return out
+def relabel_by_degree(alive, planes, sets):
+    """The sets with the vertices of alive renamed 0.. by ascending degree,
+    the count that planes hold bit-sliced (see count_planes), ties broken by
+    label: alive is split into degree classes plane by plane from the top
+    one down, lacking it first.  Sized to the engine's relabelled table keys:
+    at most _TRANSPOSE_CHUNK sets, each lying in alive, which lies below bit
+    128.  The sets are laid out as one chunk and transposed, the vertex rows
+    are picked in class order, and the result is transposed back."""
+    classes = [alive]
+    for plane in reversed(planes):
+        classes = [c for s in classes for c in (s & ~plane, s & plane) if c]
+    words = 1 + (alive.bit_length() - 1 >> 6)
+    out_words = (alive.bit_count() + 63) >> 6
+    n = len(sets) + (-len(sets) & 63)
+    t = [_items(x, n) for x in _word_columns(_matrix(sets, words), words)]
+    # vertex v of each block becomes bit j & 63 of word j >> 6, j its rank
+    picked = bytearray(8 * n * out_words)
+    q = memoryview(picked).cast("Q")
+    for j, v in enumerate(v for c in classes for v in iter_bits(c)):
+        q[(j & 63) * out_words + (j >> 6)::64 * out_words] = t[v >> 6][v & 63::64]
+    new = [_items(x, n)[:len(sets)] for x in _word_columns(picked, out_words)]
+    if out_words == 1:
+        return new[0].tolist()
+    return [a | b << 64 for a, b in zip(*new)]

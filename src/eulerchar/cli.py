@@ -180,40 +180,24 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--repeat", type=int, default=1)
     pe.set_defaults(fn=_cmd_euler)
 
-    pg = sub.add_parser("gen", help="generate a benchmark family instance")
-    pg.add_argument("spec", help="rook:6,6 | match:9 | nicgraph:7,2 | random:20,100,seed=7")
-    pg.add_argument("-o", "--output", default=None)
-    pg.set_defaults(fn=_cmd_gen)
+    def command(name, about, fn, arg, *flags, output=True, **arg_kw):
+        # a subcommand of one positional argument, store_true flags and -o
+        sp = sub.add_parser(name, help=about)
+        sp.add_argument(arg, **arg_kw)
+        for flag in flags:
+            sp.add_argument(flag, action="store_true")
+        if output:
+            sp.add_argument("-o", "--output", default=None)
+        sp.set_defaults(fn=fn)
 
-    pr = sub.add_parser("reduce", help="DIMACS CNF -> complex with s*χ̃ = #sat")
-    pr.add_argument("file")
-    pr.add_argument("--verify", action="store_true")
-    pr.add_argument("-o", "--output", default=None)
-    pr.set_defaults(fn=_cmd_reduce)
-
-    pc = sub.add_parser("construct-euler", help="emit a complex with χ̃ = k")
-    pc.add_argument("k", type=int)
-    pc.add_argument("-o", "--output", default=None)
-    pc.set_defaults(fn=_cmd_construct_euler)
-
-    pn = sub.add_parser("nerve", help="nerve of a complex document")
-    pn.add_argument("file")
-    pn.add_argument("-o", "--output", default=None)
-    pn.set_defaults(fn=_cmd_nerve)
-
-    pt = sub.add_parser("transpose", help="transpose an ideal document")
-    pt.add_argument("file")
-    pt.add_argument("-o", "--output", default=None)
-    pt.set_defaults(fn=_cmd_transpose)
-
-    pl = sub.add_parser("translate", help="complex ↔ ideal through φ")
-    pl.add_argument("file")
-    pl.add_argument("-o", "--output", default=None)
-    pl.set_defaults(fn=_cmd_translate)
-
-    pf = sub.add_parser("fvector", help="face counts by dimension")
-    pf.add_argument("file")
-    pf.set_defaults(fn=_cmd_fvector)
+    command("gen", "generate a benchmark family instance", _cmd_gen, "spec",
+            help="rook:6,6 | match:9 | nicgraph:7,2 | random:20,100,seed=7")
+    command("reduce", "DIMACS CNF -> complex with s*χ̃ = #sat", _cmd_reduce, "file", "--verify")
+    command("construct-euler", "emit a complex with χ̃ = k", _cmd_construct_euler, "k", type=int)
+    command("nerve", "nerve of a complex document", _cmd_nerve, "file")
+    command("transpose", "transpose an ideal document", _cmd_transpose, "file")
+    command("translate", "complex ↔ ideal through φ", _cmd_translate, "file")
+    command("fvector", "face counts by dimension", _cmd_fvector, "file", output=False)
     return p
 
 

@@ -115,7 +115,9 @@ def parse_dimacs(text: str) -> CnfFormula:
     tokens = []
     for raw in text.splitlines():
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):
+            break  # SATLIB's end marker, followed by a stray "0"
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             parts = line.split()
@@ -138,9 +140,9 @@ def parse_dimacs(text: str) -> CnfFormula:
     current = []
     for t in tokens:
         if t == 0:
-            if current:
-                clauses.append(tuple(current))
-                current = []
+            # CnfFormula refuses an empty clause
+            clauses.append(tuple(current))
+            current = []
         else:
             current.append(t)
     if current:

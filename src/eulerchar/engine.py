@@ -41,7 +41,8 @@ A node of at most _TABLE_KEY_FACETS facets (a bound apart from, and above,
 the split threshold) that reaches its pivot split is first looked up in a
 subproblem table that lives for one euler() call and maps facet tuples to
 unsigned χ̃: the node's exact facets or, on a narrow node whose shape came up
-before, those of a copy relabelled by degree, which isomorphic nodes share.
+before, those of a copy relabelled by degree (_bitops.relabel_by_degree),
+which isomorphic nodes share.
 A hit replaces the whole subtree by the stored value, a miss stores the value
 once the subtree is solved.  Evaluation is an explicit stack machine, so
 recursion depth is bounded regardless of instance size, and all randomness is
@@ -55,8 +56,8 @@ from operator import and_, or_, xor
 from typing import Optional
 
 from ._bitops import (
-    _gather, _undominated, compress_columns, count_is, count_planes, iter_bits, mask, maximal_sets,
-    transpose_rows,
+    _undominated, compress_columns, count_is, count_planes, iter_bits, mask, maximal_sets,
+    relabel_by_degree, transpose_rows,
 )
 from .core import (
     Complex,
@@ -99,6 +100,8 @@ _SPLIT_FACETS = 64
 # and nicgraph-7-2 (63) read the same from 256 up; at 1,024 match-10 also
 # keys its nodes of 513 to 1,024 facets for no hit, and narrow-bcrt read
 # 0.086 and 0.083 against 0.082 reference s (one 10 s run a seed, seeds 1-2).
+# relabel_by_degree takes at most 1,024 sets (_bitops._TRANSPOSE_CHUNK), so
+# this bound must stay at or below that.
 _TABLE_KEY_FACETS = 512
 # the table holds keys of at most this many facets in total; a store that
 # would pass it evicts the oldest entries first (deterministic, so the
@@ -108,12 +111,13 @@ _TABLE_KEY_FACETS = 512
 # 37.5 MB, nicgraph-9-2 bcrt 105,537 / 92,041 / 76,565 nodes at 18.2 / 20.2 /
 # 28.1 MB.
 _TABLE_FACETS = 1 << 14
-# A keyed node that misses is looked up again under _iso_facets, a copy
-# relabelled by degree, if its live vertices fit in _ISO_BITS bits (_gather
-# holds a set in two 64-bit words) and the hash of its shape (m, live vertex
-# count, popcount of each plane) came up before in the call: 5 % of such misses
-# on random:40,45 under bcrt, 57-74 % on rook-6-6, match-10 and nicgraph-7-2.
-# (Whole shape tuples held 1 MB more at peak on nicgraph-9-2 bcrt.)
+# A keyed node that misses is looked up again under a copy relabelled by
+# degree, if its live vertices fit in _ISO_BITS bits (relabel_by_degree
+# takes sets below bit 128, so this bound must stay at or below that) and
+# the hash of its shape (m, live vertex count, popcount of each plane) came
+# up before in the call: 5 % of such misses on random:40,45 under bcrt,
+# 57-74 % on rook-6-6, match-10 and nicgraph-7-2.  (Whole shape tuples held
+# 1 MB more at peak on nicgraph-9-2 bcrt.)
 _ISO_BITS = 128
 # A node that is not void, {∅} or a cone is a leaf, solved by a closure
 # instead of by pivot splits, if it has at most _LEAF_FACETS facets
@@ -199,7 +203,7 @@ class EngineStats:
     sum_splits: int = 0  # nodes split into vertex-disjoint parts
     cache_hits: int = 0  # subproblem-table traffic
     cache_evictions: int = 0
-    relabelled_keys: int = 0  # lookups made under _iso_facets
+    relabelled_keys: int = 0  # lookups made under relabel_by_degree
     max_depth: int = 0  # deepest todo stack; pending table keys lie along it
     split_leaves: int = 0  # dbms second children solved at their split
     elapsed: float = 0.0
@@ -389,17 +393,6 @@ def _closed_chi(u, k):
     for i in range(k):
         u |= (u & _HOLDS[i]) >> (1 << i)
     return 2 * (u & _ODD).bit_count() - u.bit_count()
-
-
-def _iso_facets(alive, facets, planes):
-    """Sorted facet tuple of an isomorphic copy: the live vertices renamed
-    0.. by ascending degree (split off plane by plane from the top one
-    down, lacking it first), ties broken by label."""
-    classes = [alive]
-    for p in reversed(planes):
-        classes = [c for s in classes for c in (s & ~p, s & p) if c]
-    order = [v for c in classes for v in iter_bits(c)]
-    return tuple(sorted(_gather(order, facets)))
 
 
 def _argmax_mask(sel, planes):
@@ -638,7 +631,7 @@ def euler(cx: Complex, cfg: Optional[EngineConfig] = None):
             if hit is None and alive.bit_length() <= _ISO_BITS:
                 shape = hash((m, alive.bit_count(), *map(int.bit_count, planes)))
                 if shape in shapes:
-                    tkey = _iso_facets(alive, facets, planes)
+                    tkey = tuple(sorted(relabel_by_degree(alive, planes, facets)))
                     hit = table.get(tkey)
                     stats.relabelled_keys += 1
                 else:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -35,10 +36,14 @@ def test_benchmark_writes_json(tmp_path):
     assert (doc["dirty"] is None) == (doc["git_commit"] is None)
     # the line count of the package's modules, net lines removed being a metric
     assert isinstance(doc["src_lines"], int) and doc["src_lines"] > 0
+    # of which the lines holding code, which comments and docstrings cannot move
+    assert isinstance(doc["src_code_lines"], int)
+    assert 0 < doc["src_code_lines"] < doc["src_lines"]
     # every strategy of both algorithms, one row each
     assert len(doc["rows"]) == 11
     for row in doc["rows"]:
         assert row["instance"] == "rook:3,3" and row["chi"] == -4
+        assert "nerve" not in row  # the nerve is always on
         assert set(row["counters"]) == COUNTERS
         for key in ("sum_splits", "cache_hits", "cache_evictions", "relabelled_keys",
                     "max_depth", "split_leaves", "peak_rss_kb"):
@@ -66,3 +71,23 @@ def test_each_row_has_its_own_peak_rss(tmp_path):
     # row; the row reads its own figure, not the parent's high-water mark
     alone = bench_json(tmp_path, "--algorithms", "dbms", "--pivots", "default")["rows"]
     assert abs(alone[0]["peak_rss_kb"] - small) < 2_048, (alone[0]["peak_rss_kb"], small)
+
+
+def test_code_lines_skip_comments_docstrings_and_blanks():
+    spec = importlib.util.spec_from_file_location("benchmark_script", BENCH)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    source = (
+        '"""Module\ndocstring."""\n'
+        "\n"
+        "# a comment\n"
+        "def f(x):  # trailing comment\n"
+        '    """Docstring."""\n'
+        "    s = \"\"\"a string\n"
+        "    over two lines\"\"\"\n"
+        "    return (x +\n"
+        "\n"
+        "            1)\n"
+    )
+    # def, the two lines of s and the return's two lines
+    assert bench.code_lines(source) == 5

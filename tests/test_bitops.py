@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from eulerchar import _bitops
 from eulerchar._bitops import (
-    _gather, compress_columns, count_is, count_planes, iter_bits, mask, maximal_sets, transpose_rows,
+    compress_columns, count_is, count_planes, iter_bits, mask, maximal_sets, relabel_by_degree,
+    transpose_rows,
 )
 from eulerchar.docio import parse_complex
 from test_cli import wide_sparse_document
@@ -201,22 +202,46 @@ def test_transpose_block_and_chunk_boundaries():
             assert transpose_rows(sets) == ref_transpose(sets), (m, name)
 
 
-def test_gather_matches_definition():
-    # orders shuffled over at most 64 and over 65-128 positions, with every
-    # position or some of them (the others are dropped), on sets spanning
-    # several 64-set blocks and over chunk boundaries
+def rank_planes(order):
+    # planes counting vertex order[j] j times, so that ascending degree
+    # order, ties broken by label, is order itself
+    bits = range(len(order).bit_length())
+    return [sum(1 << v for j, v in enumerate(order) if j >> i & 1) for i in bits]
+
+
+def test_relabel_by_degree_matches_definition():
+    # orders shuffled over all of 1-128 positions, or over some positions
+    # below 128 (a live set of at most 64 vertices that spans two words),
+    # on sets spanning several 64-set blocks up to the table's 512-facet
+    # keys, with the empty and the full set
     rng = random.Random(0x6A7)
     for width in (1, 8, 63, 64, 65, 100, 127, 128):
-        for m in (1, 63, 64, 65, 200, 4097):
-            order = rng.sample(range(width), width if m % 2 else rng.randint(1, width))
-            words = 1 + (max(order) >> 6)
-            sets = [rng.getrandbits(64 * words) for _ in range(m)] + [0, mask(64 * words)]
-            assert _gather(order, sets) == ref_gather(order, sets), (width, m)
+        for m in (1, 63, 64, 65, 200, 511, 512):
+            order = rng.sample(range(width), width) if m % 2 else rng.sample(range(128), min(width, 64))
+            alive = sum(1 << v for v in order)
+            sets = [rng.getrandbits(128) & alive for _ in range(m)]
+            if m > 2:
+                sets[1], sets[-1] = 0, alive
+            assert relabel_by_degree(alive, rank_planes(order), sets) == ref_gather(order, sets), (width, m)
     # the identity and the reversal of one and two full words
     for width in (64, 128):
         sets = [rng.getrandbits(width) for _ in range(70)]
-        assert _gather(list(range(width)), sets) == sets
-        assert _gather(list(range(width))[::-1], sets) == ref_gather(list(range(width))[::-1], sets)
+        order = list(range(width))
+        assert relabel_by_degree(mask(width), rank_planes(order), sets) == sets
+        assert relabel_by_degree(mask(width), rank_planes(order[::-1]), sets) == ref_gather(order[::-1], sets)
+
+
+def test_relabel_by_degree_orders_by_degree():
+    # planes counted from the sets themselves: vertices by ascending degree,
+    # ties broken by label
+    rng = random.Random(0xDE6)
+    for width in (5, 64, 65, 128):
+        for m in (1, 64, 65, 300):
+            sets = [sparse_set(rng, width, 0.3) for _ in range(m)]
+            planes = count_planes(sets)
+            alive = reduce(or_, sets, 0)
+            order = sorted(iter_bits(alive), key=lambda v: (sum(s >> v & 1 for s in sets), v))
+            assert relabel_by_degree(alive, planes, sets) == ref_gather(order, sets), (width, m)
 
 
 def test_transpose_memory_is_bounded():

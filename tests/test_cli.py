@@ -92,6 +92,14 @@ def test_parse_dimacs():
     assert f == CnfFormula(3, ((1, -2), (1, 3), (-2, 3)))
     multi = parse_dimacs("p cnf 2 1\n1\n2 0\n")
     assert multi.clauses == ((1, 2),)
+    # SATLIB ends its files with a '%' line and a stray 0: reading stops there
+    satlib = parse_dimacs("p cnf 2 2\n1 2 0\n-1 0\n%\n0\n\n")
+    assert satlib == CnfFormula(2, ((1, 2), (-1,)))
+    # any other empty clause makes the formula unsatisfiable, so it is kept
+    # and refused, not dropped (which would read 3 models)
+    for text in ("p cnf 2 2\n1 2 0\n0\n", "p cnf 2 2\n0\n1 2 0\n", "p cnf 2 1\n1 2 0 0\n"):
+        with pytest.raises(InputError, match="empty clause"):
+            parse_dimacs(text)
 
 
 def test_dimacs_writer_parser_round_trip(rng):
@@ -200,6 +208,11 @@ def test_reduce_command(tmp_path, capsys):
     assert code == 0
     assert out.startswith("# sign -1\nvertices 12\n")
     assert "verified: #sat = 4" in err
+    empty = tmp_path / "empty.cnf"
+    empty.write_text("p cnf 2 2\n1 2 0\n0\n")
+    code, out, err = _run(capsys, "reduce", str(empty))
+    assert code == 1 and out == ""
+    assert "empty clause" in err
 
 
 def test_construct_euler_command(capsys):

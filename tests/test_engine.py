@@ -27,7 +27,7 @@ from eulerchar import (
     try_base_case,
 )
 from eulerchar import engine
-from eulerchar._bitops import count_planes, iter_bits, mask, maximal_sets
+from eulerchar._bitops import count_planes, iter_bits, mask, maximal_sets, relabel_by_degree
 from eulerchar.engine import ALGORITHMS, BCRT_PIVOTS, DBMS_PIVOTS
 from eulerchar.generators import generate, parse_spec
 
@@ -1155,7 +1155,7 @@ def test_exact_keys_alone_keep_the_exact_search(row, monkeypatch):
 
 def iso(c):
     planes = count_planes(c.facets)
-    return engine._iso_facets(reduce(or_, planes, 0), list(c.facets), planes)
+    return tuple(sorted(relabel_by_degree(reduce(or_, planes, 0), planes, list(c.facets))))
 
 
 def degrees(facets):
@@ -1163,7 +1163,7 @@ def degrees(facets):
     return sorted(sum(f >> v & 1 for f in facets) for v in iter_bits(live))
 
 
-def test_iso_facets_is_an_isomorphic_copy(rng):
+def test_relabelled_key_is_an_isomorphic_copy(rng):
     for _ in range(500):
         c = random_complex(rng, 12, 12)
         if c.facets == (0,):  # {∅}: no live vertex to rename (a base case)
@@ -1176,7 +1176,7 @@ def test_iso_facets_is_an_isomorphic_copy(rng):
         assert euler_by_subsets(Complex(c.n, out)) == euler_by_subsets(c), c
 
 
-def test_iso_facets_ignores_labels_when_degrees_are_distinct(rng):
+def test_relabelled_key_ignores_labels_when_degrees_are_distinct(rng):
     found = 0
     while found < 50:
         c = random_complex(rng, 6, 12, min_n=3)
@@ -1190,38 +1190,39 @@ def test_iso_facets_ignores_labels_when_degrees_are_distinct(rng):
         assert iso(make_complex(3 * c.n, moved)) == iso(c), c
 
 
-def string_gather(order, sets):
-    # the relabelled keys' first gather: character ~p of a set's binary
+def string_relabel(alive, planes, facets):
+    # the relabelled keys' first gather: the live vertices by ascending
+    # degree read off planes, ties by label; character ~p of a set's binary
     # string is bit p, and the characters picked highest first spell the key
+    degree = {v: sum((p >> v & 1) << i for i, p in enumerate(planes)) for v in iter_bits(alive)}
+    order = sorted(degree, key=lambda v: (degree[v], v))
     fmt = f"0{max(order) + 1}b"
     pick = itemgetter(*[~p for p in reversed(order)])
-    return [int("".join(pick(format(f, fmt))), 2) for f in sets]
+    return [int("".join(pick(format(f, fmt))), 2) for f in facets]
 
 
-def test_iso_facets_keys_match_the_string_gather(rng, monkeypatch):
+def test_relabelled_keys_match_the_string_gather(rng, monkeypatch):
     # every relabelled lookup of narrow-bcrt's searches (nodes of up to 124
     # facets, two 64-set blocks) and random complexes on 65-128 vertices of
     # up to 300 facets get the keys the string gather gave them, so no
     # relabelled key, and no table hit, moves
     nodes = []
-    iso_facets = engine._iso_facets
 
-    def spy(alive, facets, planes):
-        nodes.append((alive, list(facets), planes))
-        return iso_facets(alive, facets, planes)
+    def spy(alive, planes, facets):
+        nodes.append((alive, planes, list(facets)))
+        return relabel_by_degree(alive, planes, facets)
 
-    monkeypatch.setattr(engine, "_iso_facets", spy)
+    monkeypatch.setattr(engine, "relabel_by_degree", spy)
     for spec in ("rook:6,6", "match:10", "nicgraph:7,2"):
         euler(generate(parse_spec(spec)), EngineConfig(algorithm="bcrt"))
-    assert len(nodes) == 56 and max(len(f) for _, f, _ in nodes) > 64
+    assert len(nodes) == 56 and max(len(f) for _, _, f in nodes) > 64
     for _ in range(60):
         n = rng.randint(65, 128)
         c = make_complex(n, [rng.getrandbits(n) for _ in range(rng.randint(1, 300))])
         planes = count_planes(c.facets)
-        nodes.append((reduce(or_, planes, 0), list(c.facets), planes))
-    keys = [iso_facets(*node) for node in nodes]
-    monkeypatch.setattr(engine, "_gather", string_gather)
-    assert [iso_facets(*node) for node in nodes] == keys
+        nodes.append((reduce(or_, planes, 0), planes, list(c.facets)))
+    for node in nodes:
+        assert sorted(relabel_by_degree(*node)) == sorted(string_relabel(*node))
 
 
 def test_engine_counts_base_case_kinds():
