@@ -137,13 +137,6 @@ def run_fresh(cx, cfg, repeat):
     return pickle.loads(done.stdout)
 
 
-# tokens that hold no code: comments, line ends, indentation and the end
-_NOT_CODE = {
-    tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
-    tokenize.ENDMARKER,
-}
-
-
 def code_lines(source):
     """The number of lines of Python source that hold code: not blank, not
     only a comment, and not inside a docstring (a statement that is a lone
@@ -153,9 +146,12 @@ def code_lines(source):
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Expr) and isinstance(getattr(node.value, "value", None), str):
             docs.update(range(node.lineno, node.end_lineno + 1))
+    # comments, line ends, indentation and the end hold no code
+    blank = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+             tokenize.ENDMARKER}
     code = set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        if tok.type not in _NOT_CODE:
+        if tok.type not in blank:
             code.update(range(tok.start[0], tok.end[0] + 1))
     return len(code - docs)
 

@@ -210,10 +210,10 @@ def rank_planes(order):
 
 
 def test_relabel_by_degree_matches_definition():
-    # orders shuffled over all of 1-128 positions, or over some positions
-    # below 128 (a live set of at most 64 vertices that spans two words),
-    # on sets spanning several 64-set blocks up to the table's 512-facet
-    # keys, with the empty and the full set
+    # orders shuffled over every position below width, or over some
+    # positions below 128 (a live set of at most 64 vertices that spans two
+    # words), on sets spanning several 64-set blocks up to the table's
+    # 512-facet keys, with the empty and the full set
     rng = random.Random(0x6A7)
     for width in (1, 8, 63, 64, 65, 100, 127, 128):
         for m in (1, 63, 64, 65, 200, 511, 512):
