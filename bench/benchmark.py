@@ -171,6 +171,22 @@ def git(args):
     return done.stdout.strip() if done.returncode == 0 else None
 
 
+def checkout_facts():
+    """The JSON document's fields other than rows: the Python version, the
+    usable CPU count, the checkout's git state and the package's line
+    counts."""
+    status = git(["status", "--porcelain"])  # one line per changed or untracked path
+    modules = sorted(Path(eulerchar.__file__).parent.glob("*.py"))
+    return {
+        "python": platform.python_version(),
+        "nproc": len(os.sched_getaffinity(0)),
+        "git_commit": git(["rev-parse", "HEAD"]),
+        "dirty": None if status is None else status != "",
+        "src_lines": sum(p.read_bytes().count(b"\n") for p in modules),
+        "src_code_lines": sum(code_lines(p.read_text("utf-8")) for p in modules),
+    }
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--instances", nargs="*", default=DEFAULT_INSTANCES)
@@ -200,6 +216,9 @@ def main(argv=None):
     except (InputError, CapacityError) as exc:
         ap.error(str(exc))
 
+    # read before the rows run, so that an edit made during a run of minutes
+    # cannot mark a clean checkout dirty
+    facts = checkout_facts() if args.json else None
     print(
         f"{'instance':>18} {'n':>5} {'m':>7}  {'config':<18} {'chi':>8} {'nodes':>9} "
         f"{'elims':>9} {'hits':>7} {'splits':>7} {'sums':>5} {'median_s':>9}"
@@ -238,19 +257,8 @@ def main(argv=None):
                     }
                 )
     if args.json:
-        status = git(["status", "--porcelain"])  # one line per changed or untracked path
-        modules = sorted(Path(eulerchar.__file__).parent.glob("*.py"))
-        doc = {
-            "python": platform.python_version(),
-            "nproc": len(os.sched_getaffinity(0)),
-            "git_commit": git(["rev-parse", "HEAD"]),
-            "dirty": None if status is None else status != "",
-            "src_lines": sum(p.read_bytes().count(b"\n") for p in modules),
-            "src_code_lines": sum(code_lines(p.read_text("utf-8")) for p in modules),
-            "rows": rows,
-        }
         with open(args.json, "w") as out:
-            json.dump(doc, out, indent=1)
+            json.dump({**facts, "rows": rows}, out, indent=1)
             out.write("\n")
     return 0
 

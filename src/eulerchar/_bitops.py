@@ -9,27 +9,30 @@ over a transposed incidence view (the engine's large deletions share that
 walk) and a small one in C, iter_bits scans an int byte by byte through a
 table, compress_columns drops the dead byte columns of its mask and closes
 the remaining gaps with a few mask-and-shift rounds shared by every set, and
-one block-transpose kernel, _t64, serves both transpose_rows (each element's
-row of set indices) and relabel_by_degree (the engine's relabelled table
-keys).  They lay their sets out as rows of 64-bit words, _TRANSPOSE_CHUNK
-sets at a time, and _t64 transposes every 64×64 bit block of one word column
-at once with six delta swaps on one int.
+one block-transpose kernel, _t64, serves transpose_rows (each element's row
+of set indices), _block_rows (the engine's facet-lattice leaf takes its
+vertex rows from it) and relabel, which renames vertices to a given order
+for both relabel_by_degree (the engine's relabelled table keys) and the
+engine's vertex-lattice leaf (its re-pack onto the live vertices).  They lay
+their sets out as rows of 64-bit words, transpose_rows _TRANSPOSE_CHUNK sets
+at a time and the others one block of 64 sets at a time, and _t64 transposes
+every 64×64 bit block of one word column at once with six delta swaps on one
+int.
 """
 
 from functools import reduce
 from itertools import compress, groupby, repeat
 from operator import and_, itemgetter, or_
-from struct import pack, unpack
+from struct import pack
 
 _BYTE_BITS = [tuple(b for b in range(8) if (v >> b) & 1) for v in range(256)]
 
-# transpose_rows lays its sets out _TRANSPOSE_CHUNK at a time, and
-# relabel_by_degree takes at most that many, which bounds the matrix and
-# _T64_SWAPS' masks (8 KB each).  In a 64×64 block, bit 64r + c is bit c of
-# row r, and the transpose swaps bit k of each bit's index with bit k + 6 for
-# k = 0..5 (Warren, Hacker's Delight, section 7-3): the bits with index bit k
-# set and bit k + 6 clear, those under the mask, trade places with the bits
-# 63 * 2^k above them.
+# transpose_rows lays its sets out _TRANSPOSE_CHUNK at a time, which bounds
+# the matrix and _T64_SWAPS' masks (8 KB each).  In a 64×64 block, bit
+# 64r + c is bit c of row r, and the transpose swaps bit k of each bit's
+# index with bit k + 6 for k = 0..5 (Warren, Hacker's Delight, section 7-3):
+# the bits with index bit k set and bit k + 6 clear, those under the mask,
+# trade places with the bits 63 * 2^k above them.
 _TRANSPOSE_CHUNK = 1024
 
 
@@ -104,9 +107,8 @@ def transpose_rows(sets):
         cols = None
     if len(sets) <= 64:
         # one block: bit p's row is item p of the word columns end to end
-        xs = _word_columns(_matrix(sets, words, cols), words)
-        items = unpack(f"<{64 * words}Q", b"".join([x.to_bytes(512, "little") for x in xs]))
-        return dict(zip(keys, map(items.__getitem__, places)))
+        rows = _block_rows(_matrix(sets, words, cols), words)
+        return dict(zip(keys, map(rows.__getitem__, places)))
     parts = []
     for start in range(0, len(sets), _TRANSPOSE_CHUNK):
         chunk = sets[start:start + _TRANSPOSE_CHUNK]
@@ -127,11 +129,22 @@ def _matrix(sets, words, cols=None):
     return b"".join(map(int.to_bytes, sets, repeat(8 * words), repeat("little")))
 
 
+def _block_rows(mat, words):
+    """The vertex rows of one block of at most 64 sets, laid out as the byte
+    matrix mat of `words` words a set (see _matrix), as a memoryview of
+    64 * words items: item v is the row of vertex v, its bit r set iff set r
+    holds v (the word columns of the block, transposed, end to end)."""
+    cols = _word_columns(mat, words)
+    return memoryview(b"".join([x.to_bytes(512, "little") for x in cols])).cast("Q")
+
+
 def _word_columns(mat, words):
     """The word columns of mat, a byte matrix of one row of `words` 64-bit
     words per set, each as an int with every 64-set block transposed: in
     column w, the 64-bit item 64b + c is bit c of word w over the sets of
     block b (bit r from set 64b + r)."""
+    if words == 1:
+        return [_t64(int.from_bytes(mat, "little"))]
     q = memoryview(mat).cast("Q")
     return [_t64(int.from_bytes(q[w::words], "little")) for w in range(words)]
 
@@ -331,23 +344,34 @@ def relabel_by_degree(alive, planes, sets):
     """The sets with the vertices of alive renamed 0.. by ascending degree,
     the count that planes hold bit-sliced (see count_planes), ties broken by
     label: alive is split into degree classes plane by plane from the top
-    one down, lacking it first.  Sized to the engine's relabelled table keys:
-    at most _TRANSPOSE_CHUNK sets, each lying in alive, which lies below bit
-    128.  The sets are laid out as one chunk and transposed, the vertex rows
-    are picked in class order, and the result is transposed back."""
+    one down, lacking it first, and relabel renames the vertices in class
+    order, so alive lies below bit 128."""
     classes = [alive]
     for plane in reversed(planes):
         classes = [c for s in classes for c in (s & ~plane, s & plane) if c]
-    words = 1 + (alive.bit_length() - 1 >> 6)
-    out_words = (alive.bit_count() + 63) >> 6
-    n = len(sets) + (-len(sets) & 63)
-    t = [_items(x, n) for x in _word_columns(_matrix(sets, words), words)]
-    # vertex v of each block becomes bit j & 63 of word j >> 6, j its rank
-    picked = bytearray(8 * n * out_words)
-    q = memoryview(picked).cast("Q")
-    for j, v in enumerate(v for c in classes for v in iter_bits(c)):
-        q[(j & 63) * out_words + (j >> 6)::64 * out_words] = t[v >> 6][v & 63::64]
-    new = [_items(x, n)[:len(sets)] for x in _word_columns(picked, out_words)]
-    if out_words == 1:
-        return new[0].tolist()
-    return [a | b << 64 for a, b in zip(*new)]
+    return relabel(alive, [v for c in classes for v in iter_bits(c)], sets)
+
+
+def relabel(alive, order, sets):
+    """The sets, as a list, with vertex order[j] renamed j: order lists the
+    vertices of alive, which lies below bit 128, and every set lies in alive.
+    Each block of 64 sets is transposed (_block_rows), its vertex rows are
+    picked in order, and the picked rows, 64 to a word, are transposed
+    back: the block's renamed sets are then its items."""
+    words = (alive.bit_length() + 63) >> 6 or 1
+    mat = _matrix(sets, words)
+    fmt = f"<{len(order)}Q"
+    step = 512 * words
+    out = []
+    for i in range(0, len(mat), step):
+        block = mat[i:i + step]
+        rows = _block_rows(block, words)
+        new = _items(_t64(int.from_bytes(pack(fmt, *map(rows.__getitem__, order)), "little")), 128)
+        # item r of the transposed picks is set r's first word, item 64 + r
+        # its second
+        b = len(block) // (8 * words)
+        if len(order) <= 64:
+            out += new[:b]
+        else:
+            out += [lo | hi << 64 for lo, hi in zip(new[:b], new[64:64 + b])]
+    return out

@@ -21,7 +21,11 @@ _LEAF_FACETS live vertices as a leaf, by one closure on a subset lattice in
 a 2^k-bit integer (the paper's inclusion-exclusion over the lcms of a few
 generators, done bit parallel): _lattice_masked takes χ̃ of the nerve from
 the sets of facets that share a vertex, and _vertex_lattice takes χ̃ of the
-node itself from its facets re-packed onto its live vertices.  None of this
+node itself from its facets re-packed onto its live vertices.  On a narrow
+leaf, one whose live vertices lie below bit _NARROW_LEAF_BITS, both build
+those generators through the 64×64 block transpose of _bitops: the vertex
+rows are the items of the transposed facets, and the re-pack picks the live
+vertices' rows and transposes them back.  None of this
 needs simplified facets, so a node (the root and every child alike) that
 arrives with at most _LEAF_FACETS facets goes to the terminal step at once; the
 vertex bound is tried where the node's live vertices are known, after
@@ -56,8 +60,8 @@ from operator import and_, or_, xor
 from typing import Optional
 
 from ._bitops import (
-    _undominated, compress_columns, count_is, count_planes, iter_bits, mask, maximal_sets,
-    relabel_by_degree, transpose_rows,
+    _block_rows, _matrix, _undominated, compress_columns, count_is,
+    count_planes, iter_bits, mask, maximal_sets, relabel, relabel_by_degree, transpose_rows,
 )
 from .core import (
     Complex,
@@ -100,8 +104,6 @@ _SPLIT_FACETS = 64
 # and nicgraph-7-2 (63) read the same from 256 up; at 1,024 match-10 also
 # keys its nodes of 513 to 1,024 facets for no hit, and narrow-bcrt read
 # 0.086 and 0.083 against 0.082 reference s (one 10 s run a seed, seeds 1-2).
-# relabel_by_degree takes at most 1,024 sets (_bitops._TRANSPOSE_CHUNK), so
-# this bound must stay at or below that.
 _TABLE_KEY_FACETS = 512
 # the table holds keys of at most this many facets in total; a store that
 # would pass it evicts the oldest entries first (deterministic, so the
@@ -135,6 +137,21 @@ _ISO_BITS = 128
 # 20 -> 2.35, where the closure dominates; gadgets 12 -> 0.161, 14 ->
 # 0.152, 16 -> 0.141, 18 -> 0.151, 20 -> 0.223.
 _LEAF_FACETS = 16
+# A leaf is narrow if its live vertices lie below bit _NARROW_LEAF_BITS:
+# _lattice_masked then takes its vertex rows from one transposed block, and
+# _vertex_lattice re-packs its sets by relabel, which takes sets below bit
+# 128, so this bound must stay at or below that.  Replays of captured leaf
+# calls, interleaved, best of 9 to 15, against the depth-first split and
+# compress_columns: random-antichain seed 1's pass, all below bit 64, 1,367
+# facet leaves' rows and marks 37.7 -> 19.2 ms and 1,901 split leaves'
+# re-pack and marks 45.8 -> 33.9 ms.  No perfbench leaf lies between bits 64
+# and 128, so a bound of 64 moves no workload; on the golden rows' leaves
+# there (rook-7-7 dbms and match-12 bcrt), 128 against 64 read 29 facet
+# leaves 1.4-1.6 against 1.6-1.8 ms and 73 vertex leaves 3.7 against 5.4 ms,
+# and 500 random facet leaves of 20-40 live vertices below bits 65-128 read
+# 21-23 against 27 ms.  wide-dbms's 104 facet leaves, on the nerve's
+# universe of up to 10,395 bits, keep the split.
+_NARROW_LEAF_BITS = 128
 # A single-vertex bcrt split (σ = V∖{e}) builds its deletion child in
 # _deletion, by one of two regimes.  A node of at most
 # _TRANSPOSED_DELETION_FACETS facets, or one of at most _SCAN_DELETION_KEEP
@@ -351,13 +368,19 @@ def _lattice_masked(alive, facets):
 
     A set S of indices is a nerve face iff some live vertex lies in every
     facet of S, so the faces are the down-closure of the vertex rows
-    {i : v ∈ f_i}.  The rows come from splitting alive by each facet in turn,
-    depth first, so at most m classes are pending at once.  Bit S of u marks
-    a face: u starts as the rows and the empty set, and _closed_chi closes it
-    and counts.  (For {∅}, alive is 0 and u holds only the empty set: χ̃ =
-    -1.)
+    {i : v ∈ f_i}.  On a narrow leaf (see _NARROW_LEAF_BITS) the facets form
+    one 64-set block, and the rows are the block's 64-bit items once _t64
+    has transposed it.  On a wider one they come from splitting alive by
+    each facet in turn, depth first, so at most m classes are pending at
+    once.  Bit S of u marks a face: u starts as the rows and the empty set,
+    and _closed_chi closes it and counts.  (For {∅}, alive is 0 and u holds
+    only the empty set: χ̃ = -1.)
     """
     m = len(facets)
+    if not alive >> _NARROW_LEAF_BITS:
+        words = (alive.bit_length() + 63) >> 6
+        rows = set(_block_rows(_matrix(facets, words), words))
+        return _closed_chi(reduce(or_, map((1).__lshift__, rows), 1), m)
     u = 1
     pending = [(alive, 0, 0)]  # (class of vertices, next facet, row so far)
     while pending:
@@ -377,11 +400,18 @@ def _vertex_lattice(alive, sets):
     """χ̃ of the complex generated by sets, a non-empty family of subsets of
     alive, which has at most _LEAF_FACETS vertices: the sets, re-packed onto
     alive's k vertices, mark the generators on the 2^k lattice, and
-    _closed_chi closes and counts them.  The sets need not be an antichain:
-    duplicate, dominated and empty sets change no down-closure, and sets that
-    are all empty give {∅}, χ̃ = -1."""
-    k, packed = compress_columns(alive, sets)
-    return _closed_chi(reduce(or_, (1 << f for f in packed)), k)
+    _closed_chi closes and counts them.  On a narrow alive (see
+    _NARROW_LEAF_BITS), relabel re-packs them a block of 64 sets at a time,
+    by picking alive's vertex rows in ascending order (any number of sets:
+    1,025 sets on 16 vertices took 0.21 against compress_columns' 0.67 ms);
+    on a wider one compress_columns does.  The sets need not be an
+    antichain: duplicate, dominated and empty sets change no down-closure,
+    and sets that are all empty give {∅}, χ̃ = -1."""
+    if alive >> _NARROW_LEAF_BITS:
+        packed = compress_columns(alive, sets)[1]
+    else:
+        packed = relabel(alive, list(iter_bits(alive)), sets)
+    return _closed_chi(reduce(or_, map((1).__lshift__, packed)), alive.bit_count())
 
 
 def _closed_chi(u, k):

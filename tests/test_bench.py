@@ -73,10 +73,39 @@ def test_each_row_has_its_own_peak_rss(tmp_path):
     assert abs(alone[0]["peak_rss_kb"] - small) < 2_048, (alone[0]["peak_rss_kb"], small)
 
 
-def test_code_lines_skip_comments_docstrings_and_blanks():
+def load_bench():
     spec = importlib.util.spec_from_file_location("benchmark_script", BENCH)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_git_state_is_read_before_the_rows_run(tmp_path, monkeypatch):
+    # the checkout is clean when the run starts and edited while a row runs;
+    # the document records the state the rows ran from
+    bench = load_bench()
+    status = [""]
+
+    def fake_git(args):
+        return {"status": status[0], "rev-parse": "0" * 40}[args[0]]
+
+    def edited_during_row(cx, cfg, repeat):
+        status[0] = " M src/eulerchar/engine.py"
+        value, stats = bench.euler(cx, cfg)
+        return value, stats, 0.0, 0.0, 0
+
+    monkeypatch.setattr(bench, "git", fake_git)
+    monkeypatch.setattr(bench, "run_fresh", edited_during_row)
+    out = tmp_path / "bench.json"
+    bench.main(["--instances", "rook:3,3", "--algorithms", "dbms", "--pivots", "default",
+                "--repeat", "1", "--json", str(out)])
+    doc = json.loads(out.read_text())
+    assert (doc["git_commit"], doc["dirty"]) == ("0" * 40, False)
+    assert [row["chi"] for row in doc["rows"]] == [-4]
+
+
+def test_code_lines_skip_comments_docstrings_and_blanks():
+    bench = load_bench()
     source = (
         '"""Module\ndocstring."""\n'
         "\n"

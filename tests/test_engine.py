@@ -26,7 +26,7 @@ from eulerchar import (
     split_dbms,
     try_base_case,
 )
-from eulerchar import engine
+from eulerchar import _bitops, engine
 from eulerchar._bitops import count_planes, iter_bits, mask, maximal_sets, relabel_by_degree
 from eulerchar.engine import ALGORITHMS, BCRT_PIVOTS, DBMS_PIVOTS
 from eulerchar.generators import generate, parse_spec
@@ -832,25 +832,117 @@ def test_vertex_lattice_memory_is_bounded():
 # --- split leaf ------------------------------------------------------------------
 
 
-def test_vertex_lattice_matches_oracle_on_any_generators(rng):
-    # generator families on k <= _LEAF_FACETS vertices spread over 300 bits,
-    # with duplicates, sets inside others and empty sets; the kernel takes
-    # them as they are, the oracle the complex they generate
+def spread(sets, spots):
+    """The sets with vertex v moved to position spots[v]."""
+    return [sum(1 << spots[v] for v in iter_bits(s)) for s in sets]
+
+
+def both_routes(monkeypatch, leaf_fn, alive, sets):
+    """leaf_fn's value on the narrow route, as the engine takes it below bit
+    _NARROW_LEAF_BITS, and on the wide one, forced by a bound of 0."""
+    narrow = leaf_fn(alive, sets)
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_NARROW_LEAF_BITS", 0)
+        return narrow, leaf_fn(alive, sets)
+
+
+# widths around one and two 64-bit words, the narrow bound (128) included,
+# and one far above it
+LEAF_WIDTHS = (63, 64, 65, 127, 128, 129, 300)
+
+
+def test_vertex_lattice_matches_oracle_on_any_generators(rng, monkeypatch):
+    # generator families on k <= _LEAF_FACETS vertices spread below bit
+    # width, the top one at width - 1 and one vertex of alive in no set, with
+    # duplicates, sets inside others and empty sets; the kernel takes them
+    # as they are, in a list or a set, on either route, the oracle the
+    # complex they generate
     leaf = engine._LEAF_FACETS
-    for i in range(4 * leaf):
-        k = 1 + i % leaf
-        sets = [rng.getrandbits(k) for _ in range(rng.randint(1, 40))]
-        sets += [s & rng.getrandbits(k) for s in sets[:5]] + sets[:3] + [0]
-        rng.shuffle(sets)
-        spots = sorted(rng.sample(range(300), k))
-        spread = [sum(1 << spots[v] for v in iter_bits(s)) for s in sets]
-        alive = sum(1 << p for p in spots)
-        want = euler_by_subsets(make_complex(k, [list(iter_bits(s)) for s in sets]))
-        assert engine._vertex_lattice(alive, spread) == want, (k, sets)
-        assert engine._vertex_lattice(alive, set(spread)) == want, (k, sets)
+    for width in LEAF_WIDTHS:
+        for i in range(2 * leaf):
+            k = 1 + i % leaf
+            hole = 1 << rng.randrange(k - 1) if k > 1 else 0
+            sets = [rng.getrandbits(k) & ~hole for _ in range(rng.randint(1, 40))]
+            sets += [s & rng.getrandbits(k) for s in sets[:5]] + sets[:3] + [0]
+            rng.shuffle(sets)
+            spots = sorted(rng.sample(range(width - 1), k - 1)) + [width - 1]
+            alive = sum(1 << p for p in spots)
+            want = euler_by_subsets(make_complex(k, [list(iter_bits(s)) for s in sets]))
+            for family in (spread(sets, spots), set(spread(sets, spots))):
+                routes = both_routes(monkeypatch, engine._vertex_lattice, alive, family)
+                assert routes == (want, want), (width, k, sets)
     # all empty: {∅}, whatever the lattice
-    for alive in (0, 1, mask(leaf) << 40):
-        assert engine._vertex_lattice(alive, [0, 0]) == -1
+    for alive in (0, 1, mask(leaf) << 40, mask(leaf) << 200):
+        assert both_routes(monkeypatch, engine._vertex_lattice, alive, [0, 0]) == (-1, -1)
+
+
+def test_vertex_lattice_takes_sets_past_a_transpose_chunk(monkeypatch):
+    # relabel re-packs a block of 64 sets at a time, so 1,024 and 1,025
+    # generators on a 16-vertex σ take the narrow route too: the 560
+    # 3-subsets of σ, repeated, generate the 2-skeleton of its simplex,
+    # χ̃ = C(15, 3) = 455
+    chunk = _bitops._TRANSPOSE_CHUNK
+    spots = [4 * v + 1 for v in range(16)]
+    sets = spread([sum(1 << v for v in t) for t in combinations(range(16), 3)], spots)
+    alive = sum(1 << p for p in spots)
+    relabelled = []
+    relabel = engine.relabel
+
+    def spy(alive, order, sets):
+        relabelled.append(len(sets))
+        return relabel(alive, order, sets)
+
+    monkeypatch.setattr(engine, "relabel", spy)
+    for count in (chunk, chunk + 1):
+        family = (sets * 2)[:count]
+        assert both_routes(monkeypatch, engine._vertex_lattice, alive, family) == (455, 455), count
+    assert relabelled == [chunk, chunk + 1]
+
+
+def test_facet_leaf_routes_agree_with_the_oracle(rng, monkeypatch):
+    # antichains of up to _LEAF_FACETS facets whose live vertices are spread
+    # below bit width, the top one at width - 1; the positions below it that
+    # lie in no facet have empty rows, which mark only the empty set
+    leaf = engine._LEAF_FACETS
+    for width in LEAF_WIDTHS:
+        for i in range(2 * leaf):
+            c = antichain(rng, rng.randint(8, 11), 1 + i % leaf)
+            used = reduce(or_, c.facets).bit_count()
+            spots = [0] * c.n
+            for v, p in zip(iter_bits(reduce(or_, c.facets)),
+                            sorted(rng.sample(range(width - 1), used - 1)) + [width - 1]):
+                spots[v] = p
+            facets = spread(c.facets, spots)
+            alive = reduce(or_, facets)
+            assert alive.bit_length() == width
+            want = euler_by_subsets(c)
+            assert both_routes(monkeypatch, engine._lattice_masked, alive, facets) == (want, want), (width, c)
+    assert both_routes(monkeypatch, engine._lattice_masked, 0, [0]) == (-1, -1)
+
+
+def test_narrow_leaf_gate(monkeypatch):
+    # every leaf of random:40,45 under dbms lies below bit 64 and takes the
+    # narrow route, through one kernel a leaf; match-11 dbms's 104 facet
+    # leaves lie on the nerve's universe of up to 10,395 bits and take none
+    calls = {"leaf": 0, "narrow": 0}
+
+    def counted(name, fn):
+        def spy(*args):
+            calls[name] += 1
+            return fn(*args)
+        return spy
+
+    for name in ("_lattice_masked", "_vertex_lattice"):
+        monkeypatch.setattr(engine, name, counted("leaf", getattr(engine, name)))
+    for name in ("_block_rows", "relabel"):
+        monkeypatch.setattr(engine, name, counted("narrow", getattr(engine, name)))
+    value, stats = euler(generate(parse_spec("random:40,45,seed=1")))
+    assert calls["leaf"] == stats.base_case_hits["lattice"] + stats.split_leaves > 0
+    assert calls["narrow"] == calls["leaf"]
+    calls.update(leaf=0, narrow=0)
+    value, stats = euler(generate(parse_spec("match:11")))
+    assert value == -936 and calls["leaf"] == stats.base_case_hits["lattice"] == 104
+    assert calls["narrow"] == 0
 
 
 def test_split_solves_the_second_child_on_its_pivot_facet():
